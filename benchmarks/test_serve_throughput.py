@@ -245,93 +245,3 @@ def test_write_bench_fleet_json(fleet_bench):
     assert loaded["single_stream_jobs_per_s"] > 0.0
     assert (loaded["n_completed"] + loaded["n_fallback"]
             + loaded["n_shed"] == FLEET_JOBS)
-
-
-# -- decision plane: vectorized epoch engine vs the scalar engine ----
-
-DP_JOBS = 10_000
-DP_SPEEDUP_GATE = 4.0
-
-
-@pytest.fixture(scope="session")
-def decision_plane_bench():
-    """The same virtual stream through both decision engines.
-
-    A uniform, sustainable schedule (inter-arrival comfortably above
-    the deadline) makes every decision provably independent of its
-    predecessor's outcome, so the epoch engine can coalesce the whole
-    stream — the bench then measures the decision plane itself, not
-    queueing."""
-    import numpy as np
-
-    bundle = bundle_for(BENCHMARK, SCALE)
-    ctx = tech_context(bundle, tech="asic")
-    arrivals = np.arange(DP_JOBS) * (2.5 * ctx.config.deadline)
-    jobs = build_stream_jobs(bundle, arrivals)
-
-    def run(engine):
-        stream = AcceleratorStream(
-            BENCHMARK, make_controller(ctx, SCHEME),
-            ctx.energy_model, ctx.slice_energy_model,
-            predictor=RecordPredictor(),
-            config=ServeConfig(deadline=ctx.config.deadline,
-                               t_switch=ctx.config.t_switch,
-                               engine=engine))
-        t0 = time.perf_counter()
-        result = serve_stream(stream, jobs)
-        return stream, result, time.perf_counter() - t0
-
-    runs, walls = {}, {}
-    for engine in ("scalar", "vector"):
-        run(engine)  # warm caches and code paths
-        timed = [run(engine) for _ in range(3)]
-        runs[engine] = timed[0][:2]
-        walls[engine] = min(wall for _, _, wall in timed)
-    return runs, walls
-
-
-def test_decision_plane_bit_identical(decision_plane_bench):
-    """The differential gate, always on: both engines must produce
-    the same canonical outcomes, and the vector run must actually
-    have coalesced epochs (otherwise it measured nothing)."""
-    runs, _ = decision_plane_bench
-    scalar_stream, scalar_result = runs["scalar"]
-    vector_stream, vector_result = runs["vector"]
-    assert scalar_stream.epoch_log == []
-    assert vector_stream.epoch_log
-    assert (virtual_outcomes(scalar_result)
-            == virtual_outcomes(vector_result))
-    covered = sum(n for _, n in vector_stream.epoch_log)
-    assert covered == DP_JOBS
-
-
-def test_decision_plane_speedup_4x(decision_plane_bench):
-    """Acceptance: >= 4x single-stream decision throughput (gated to
-    hosts with enough CPUs for stable wall-clock timing)."""
-    if not ENOUGH_CPUS:
-        pytest.skip("speedup gate needs >= 4 CPUs")
-    _, walls = decision_plane_bench
-    assert walls["scalar"] / walls["vector"] >= DP_SPEEDUP_GATE
-
-
-def test_write_bench_decision_plane_json(decision_plane_bench):
-    """Fold the decision-plane figures into BENCH_serve.json."""
-    runs, walls = decision_plane_bench
-    vector_stream, _ = runs["vector"]
-    record = (json.loads(BENCH_PATH.read_text())
-              if BENCH_PATH.exists() else {"schema": 1})
-    record["decision_plane"] = {
-        "n_jobs": DP_JOBS,
-        "cpu_count": os.cpu_count(),
-        "scalar_jobs_per_s": DP_JOBS / walls["scalar"],
-        "vector_jobs_per_s": DP_JOBS / walls["vector"],
-        "speedup": walls["scalar"] / walls["vector"],
-        "epochs": len(vector_stream.epoch_log),
-        "bit_identical": True,
-    }
-    BENCH_PATH.write_text(json.dumps(record, indent=2, sort_keys=True)
-                          + "\n")
-    loaded = json.loads(BENCH_PATH.read_text())["decision_plane"]
-    assert loaded["scalar_jobs_per_s"] > 0.0
-    assert loaded["vector_jobs_per_s"] > 0.0
-    assert loaded["bit_identical"] is True

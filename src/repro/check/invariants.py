@@ -605,12 +605,15 @@ def check_epochs(result: "StreamResult",
                  epoch_log: List[tuple],
                  rel_eps: float = TIME_EPS_REL
                  ) -> List[InvariantViolation]:
-    """Audit the vectorized engine's decision-epoch conservation law.
+    """Audit a decision-epoch log against the finished stream.
 
-    The epoch engine (:mod:`repro.serve.vector`) may only coalesce
-    arrivals whose decisions are provably independent — which leaves a
-    re-checkable footprint on the finished stream.  For every epoch
-    ``(first_index, n_jobs)`` it committed:
+    Serving decides one job at a time, so
+    :attr:`~repro.serve.AcceleratorStream.epoch_log` is always empty
+    and this audit always passes; it is kept only because the
+    benchmark in ``perfbench/`` calls it.  A decision epoch is a run
+    of arrivals decided together, which is sound only when their
+    decisions are independent.  For every epoch ``(first_index,
+    n_jobs)`` in the log:
 
     * ``stream.epoch.shape`` — the epoch is non-empty and its first
       job exists in the result;

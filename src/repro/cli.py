@@ -625,7 +625,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 prediction_budget=(args.prediction_budget_ms * MS
                                    if args.prediction_budget_ms
                                    is not None else None),
-                engine=args.engine,
             )
             if args.arrival == "burst":
                 arrivals = burst_arrivals(
@@ -717,7 +716,6 @@ def _serve_fleet_cli(args: argparse.Namespace, duration, n_jobs) -> int:
         config = FleetConfig(policy=args.policy,
                              global_depth=args.global_depth,
                              elastic=args.elastic,
-                             engine=args.engine,
                              strict=False)  # checked explicitly below
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -770,7 +768,6 @@ def _serve_fleet_cli(args: argparse.Namespace, duration, n_jobs) -> int:
                     t_switch=ctx.config.t_switch,
                     queue_depth=args.queue_depth,
                     batch_max=args.batch,
-                    engine=args.engine,
                 )))
         if args.arrival == "burst":
             arrivals = burst_arrivals(
@@ -1006,13 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--virtual", action="store_true",
                    help="drive the virtual clock flat-out instead of "
                         "pacing arrivals against the wall clock")
-    p.add_argument("--engine", choices=("auto", "scalar", "vector"),
-                   default=None,
-                   help="decision-plane engine: auto (default; "
-                        "vectorized epochs where provably equivalent), "
-                        "scalar (per-job reference path), or vector "
-                        "(insist on the epoch driver). Falls back to "
-                        "REPRO_SERVE_ENGINE when omitted")
     p.add_argument("--fleet", type=int, default=None, metavar="N",
                    help="dispatch ONE mixed stream across a pool of N "
                         "accelerator instances (spread round-robin "

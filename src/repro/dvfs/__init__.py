@@ -1,7 +1,6 @@
 """DVFS machinery: V-f models, levels, energy, controllers."""
 
 from .controllers import (
-    BatchPlan,
     ConstantFrequencyController,
     Controller,
     HistoryController,
@@ -13,12 +12,9 @@ from .controllers import (
     TableBasedController,
 )
 from .dvfs_model import (
-    BatchDecision,
     DvfsDecision,
     required_frequency,
-    required_frequency_batch,
     select_level,
-    select_level_batch,
 )
 from .energy import (
     AsicEnergyModel,
@@ -31,7 +27,6 @@ from .levels import (
     ASIC_VOLTAGES,
     BOOST_VOLTAGE,
     FPGA_VOLTAGES,
-    LevelArrays,
     LevelTable,
     OperatingPoint,
     build_level_table,
@@ -47,16 +42,14 @@ from .vf_model import (
 
 __all__ = [
     "ASIC_VOLTAGES", "AlphaPowerDevice", "AsicEnergyModel", "AsicVfModel",
-    "BOOST_VOLTAGE", "BatchDecision", "BatchPlan",
-    "ConstantFrequencyController", "Controller",
+    "BOOST_VOLTAGE", "ConstantFrequencyController", "Controller",
     "DvfsDecision", "EnergyModel", "FPGA_VOLTAGES", "Fo4Chain",
     "IntervalGovernorController",
     "FpgaEnergyModel", "FpgaVfModel", "HistoryController", "JobActivity",
-    "LevelArrays", "LevelTable", "OperatingPoint", "OracleController",
+    "LevelTable", "OperatingPoint", "OracleController",
     "PidController",
     "PidGains", "PidPredictor", "Plan", "PredictiveController",
     "TableBasedController", "VoltageFrequencyModel", "activity_from_run",
     "build_level_table", "replay_errors", "required_frequency",
-    "required_frequency_batch", "select_level", "select_level_batch",
-    "tune_pid",
+    "select_level", "tune_pid",
 ]

@@ -22,10 +22,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence
 
-import numpy as np
-
 from ..runtime.jobs import JobRecord
-from .dvfs_model import select_level, select_level_batch
+from .dvfs_model import select_level
 from .levels import LevelTable, OperatingPoint
 from .pid import PidGains, PidPredictor, tune_pid
 
@@ -39,21 +37,6 @@ class Plan:
     feasible: bool = True
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    """A controller's decisions for a whole job array.
-
-    One entry per job: ``level_index`` addresses the controller's
-    level table (boost = ``levels.arrays().boost_index``), and every
-    element is bit-identical to what :meth:`Controller.plan` would
-    have returned for that job alone.
-    """
-
-    level_index: np.ndarray   # int64
-    t_slice: np.ndarray       # float64
-    feasible: np.ndarray      # bool
-
-
 class Controller:
     """Base class; subclasses implement :meth:`plan`."""
 
@@ -62,11 +45,6 @@ class Controller:
     #: Whether slice/switch overheads are charged by the episode runner
     #: (False for idealized variants like the oracle).
     charge_overheads: bool = True
-    #: True when :meth:`plan` is a pure function of (job, budget) and
-    #: :meth:`observe` is a no-op — the contract the vectorized serving
-    #: engine relies on to decide whole epochs with :meth:`plan_batch`.
-    #: Reactive schemes (pid, history, governor) must leave this False.
-    vectorizable: bool = False
 
     def __init__(self, name: str, levels: LevelTable, t_switch: float):
         self.name = name
@@ -76,15 +54,6 @@ class Controller:
     def plan(self, job: JobRecord, budget: float) -> Plan:
         """Pick an operating point for ``job`` given ``budget`` seconds."""
         raise NotImplementedError
-
-    def plan_batch(self, jobs: Sequence[JobRecord],
-                   budgets: np.ndarray) -> Optional[BatchPlan]:
-        """Plan a whole job array at once; ``None`` = not supported.
-
-        Only meaningful when :attr:`vectorizable`; the default keeps
-        reactive schemes on the scalar path.
-        """
-        return None
 
     def observe(self, job: JobRecord) -> None:
         """Called after a job retires (reactive schemes learn here)."""
@@ -105,23 +74,12 @@ class Controller:
 class ConstantFrequencyController(Controller):
     """Always run at nominal voltage and frequency (the baseline)."""
 
-    vectorizable = True
-
     def __init__(self, levels: LevelTable, t_switch: float = 0.0):
         super().__init__("baseline", levels, t_switch)
 
     def plan(self, job: JobRecord, budget: float) -> Plan:
         """Always the nominal operating point."""
         return Plan(point=self.levels.nominal)
-
-    def plan_batch(self, jobs: Sequence[JobRecord],
-                   budgets: np.ndarray) -> Optional[BatchPlan]:
-        """Every job at nominal — a constant-filled plan."""
-        n = len(jobs)
-        nominal = self.levels.index_of(self.levels.nominal)
-        return BatchPlan(
-            level_index=np.full(n, nominal, dtype=np.int64),
-            t_slice=np.zeros(n), feasible=np.ones(n, dtype=bool))
 
 
 class TableBasedController(Controller):
@@ -131,8 +89,6 @@ class TableBasedController(Controller):
     worst-case cycle count observed in training for that class.
     Unknown classes fall back to nominal.
     """
-
-    vectorizable = True
 
     def __init__(self, levels: LevelTable, t_switch: float,
                  table: Dict[int, float]):
@@ -164,23 +120,6 @@ class TableBasedController(Controller):
             t_switch=self._switch_allowance(),
         )
         return Plan(point=decision.point, feasible=decision.feasible)
-
-    def plan_batch(self, jobs: Sequence[JobRecord],
-                   budgets: np.ndarray) -> Optional[BatchPlan]:
-        """Batched lookup: known classes through the decision kernel,
-        unknown classes pinned to nominal (the scalar fallback)."""
-        worst = [self.table.get(job.coarse_param) for job in jobs]
-        known = np.array([w is not None for w in worst], dtype=bool)
-        cycles = np.array([w if w is not None else 0.0 for w in worst],
-                          dtype=float)
-        decision = select_level_batch(
-            self.levels, cycles, budgets,
-            t_switch=self._switch_allowance())
-        nominal = self.levels.index_of(self.levels.nominal)
-        return BatchPlan(
-            level_index=np.where(known, decision.level_index, nominal),
-            t_slice=np.zeros(len(jobs)),
-            feasible=np.where(known, decision.feasible, True))
 
 
 class PidController(Controller):
@@ -266,7 +205,6 @@ class PredictiveController(Controller):
     """
 
     uses_slice = True
-    vectorizable = True
 
     def __init__(self, levels: LevelTable, t_switch: float,
                  margin: float = 0.05, boost: bool = False,
@@ -306,34 +244,6 @@ class PredictiveController(Controller):
         )
         return Plan(point=decision.point, t_slice=t_slice,
                     feasible=decision.feasible)
-
-    def plan_batch(self, jobs: Sequence[JobRecord],
-                   budgets: np.ndarray) -> Optional[BatchPlan]:
-        """Batched slice-prediction planning.
-
-        Declines (returns None) when any job is missing its
-        prediction, so the scalar path raises the same diagnostic the
-        per-job :meth:`plan` would.
-        """
-        predicted = [job.predicted_cycles for job in jobs]
-        if any(p is None for p in predicted):
-            return None
-        cycles = np.array(predicted, dtype=float)
-        if self.charge_overheads:
-            f_nominal = self.levels.nominal.frequency
-            t_slice = np.array(
-                [job.slice_cycles for job in jobs],
-                dtype=float) / f_nominal
-        else:
-            t_slice = np.zeros(len(jobs))
-        decision = select_level_batch(
-            self.levels, cycles, budgets,
-            margin_fraction=self.margin,
-            t_slice=t_slice,
-            t_switch=self._switch_allowance(),
-            allow_boost=self.boost)
-        return BatchPlan(level_index=decision.level_index,
-                         t_slice=t_slice, feasible=decision.feasible)
 
 
 class IntervalGovernorController(Controller):
@@ -400,8 +310,6 @@ class OracleController(Controller):
     """Perfect per-job level selection with zero overheads (Fig 13)."""
 
     charge_overheads = False
-    vectorizable = True
-
     def __init__(self, levels: LevelTable):
         super().__init__("oracle", levels, t_switch=0.0)
 
@@ -410,13 +318,3 @@ class OracleController(Controller):
         decision = select_level(self.levels, float(job.actual_cycles),
                                 budget)
         return Plan(point=decision.point, feasible=decision.feasible)
-
-    def plan_batch(self, jobs: Sequence[JobRecord],
-                   budgets: np.ndarray) -> Optional[BatchPlan]:
-        """Batched oracle: true cycle counts through the kernel."""
-        cycles = np.array([job.actual_cycles for job in jobs],
-                          dtype=float)
-        decision = select_level_batch(self.levels, cycles, budgets)
-        return BatchPlan(level_index=decision.level_index,
-                         t_slice=np.zeros(len(jobs)),
-                         feasible=decision.feasible)

@@ -80,17 +80,14 @@ def predict_cycles_batch(predictor: LinearPredictor,
                          x: np.ndarray) -> np.ndarray:
     """One batched evaluation of the linear model over a feature matrix.
 
-    The serving tier predicts whole micro-batches (and, in the
-    vectorized engine, whole epochs) with a single kernel call instead
-    of one dot product per job.  The kernel is ``np.einsum`` rather
-    than BLAS ``@`` deliberately: einsum reduces each row with the
-    same scalar accumulation regardless of how many rows the matrix
-    has, so a job's prediction is bit-identical whether it is batched
-    alone or with 10 000 neighbours — the property the engine
-    equivalence tests gate on.  (BLAS GEMV may change row results with
-    the batch shape; ``predict_one``'s dot product is a third
-    summation order again, which is why both serving engines must
-    route through the *same* kernel.)
+    Under the ``batch`` simulation backend the serving tier predicts
+    each micro-batch (:meth:`~repro.serve.SlicePredictor.predict_batch`)
+    with a single kernel call instead of one dot product per job.  The
+    kernel is ``np.einsum`` rather than BLAS ``@`` deliberately: einsum
+    reduces each row with the same scalar accumulation regardless of
+    how many rows the matrix has, so a job's prediction does not
+    depend on how many neighbours share its micro-batch.  (BLAS GEMV
+    may change row results with the batch shape.)
     """
     matrix = np.asarray(x, dtype=float)
     if matrix.ndim == 1:

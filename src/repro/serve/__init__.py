@@ -32,8 +32,6 @@ from .fleet import (
 from .loadgen import LoadReport, percentile, run_closed_loop, run_open_loop
 from .server import (
     COMPLETED,
-    ENGINE_ENV,
-    ENGINES,
     FALLBACK,
     SHED,
     TERMINAL_STATES,
@@ -43,11 +41,9 @@ from .server import (
     SlicePredictor,
     StreamOutcome,
     StreamResult,
-    resolve_engine,
     serve_stream,
     serve_streams,
 )
-from .vector import EpochEngine, drive_stream_vectorized
 from .stream import (
     ADVERSARIAL_MODES,
     DeadlineClass,
@@ -67,21 +63,19 @@ from .stream import (
 
 __all__ = [
     "ADVERSARIAL_MODES",
-    "COMPLETED", "DEADLINE", "ENERGY_AWARE", "ENGINES", "ENGINE_ENV",
-    "FALLBACK",
+    "COMPLETED", "DEADLINE", "ENERGY_AWARE", "FALLBACK",
     "LEAST_LOADED", "POLICIES", "ROUND_ROBIN", "SHED",
     "SHED_REASONS", "TERMINAL_STATES",
-    "AcceleratorStream", "DeadlineClass", "EpochEngine", "FleetConfig",
+    "AcceleratorStream", "DeadlineClass", "FleetConfig",
     "FleetDispatcher", "FleetJob",
     "FleetResult", "FleetShed", "LoadReport", "RecordPredictor",
     "RoutingDecision", "ServeConfig", "ShardSpec", "SlicePredictor",
     "StreamJob", "StreamOutcome", "StreamResult", "TenantSpec",
     "TokenBucket", "adversarial_order", "build_mixed_stream",
     "build_stream_jobs",
-    "burst_arrivals", "drive_stream_vectorized", "mixed_stream_jobs",
+    "burst_arrivals", "mixed_stream_jobs",
     "parse_tenants",
-    "percentile", "poisson_arrivals", "resolve_engine",
-    "run_closed_loop",
+    "percentile", "poisson_arrivals", "run_closed_loop",
     "run_open_loop", "serve_fleet", "serve_stream", "serve_streams",
     "split_by_deadline",
     "stream_from_records", "trace_replay", "vfr_arrivals",

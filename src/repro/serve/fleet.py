@@ -36,22 +36,20 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..dvfs.controllers import Controller
-from ..dvfs.dvfs_model import select_level, select_level_batch
+from ..dvfs.dvfs_model import select_level
 from ..dvfs.energy import EnergyModel, JobActivity
 from ..obs import get_observer, span
 from ..parallel import pmap, resolve_jobs
 from ..runtime.episode import strict_checks_enabled
 from .server import (
-    ENGINE_ENV,
-    ENGINES,
     AcceleratorStream,
     ServeConfig,
     StreamResult,
+    _check_engine,
     _check_result,
     _emit_stream_summary,
+    _serve_virtual,
 )
 from .stream import FleetJob
 
@@ -165,7 +163,9 @@ class FleetConfig:
     scale_down_backlog: float = 1.0
     min_active: int = 1
     strict: Optional[bool] = None  # None = follow REPRO_CHECK
-    engine: Optional[str] = None   # None = follow REPRO_SERVE_ENGINE
+    #: Selects nothing; kept only because the benchmark in
+    #: ``perfbench/`` passes it (same values as ``ServeConfig.engine``).
+    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -179,20 +179,7 @@ class FleetConfig:
         if self.scale_down_backlog >= self.scale_up_backlog:
             raise ValueError("scale_down_backlog must sit below "
                              "scale_up_backlog")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}")
-
-
-def _fleet_engine(config: FleetConfig) -> str:
-    """The dispatcher's effective decision-plane engine."""
-    engine = config.engine
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "auto") or "auto"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV} must be one of {ENGINES}, got {engine!r}")
-    return engine
+        _check_engine(self.engine)
 
 
 def usable_cores() -> int:
@@ -600,199 +587,15 @@ class FleetDispatcher:
         return chosen
 
     def dispatch(self, jobs: Sequence[FleetJob]) -> List[List[FleetJob]]:
-        """Route a whole (arrival-sorted) stream; returns per-instance
-        sub-streams aligned with ``specs``.
-
-        Under the ``auto``/``vector`` engines the dispatcher first
-        tries one vectorized **routing epoch** (:meth:`_route_epoch`)
-        over the whole stream; whatever prefix it can prove
-        independent is committed in bulk and the scalar
-        :meth:`route` loop finishes the rest from the reconstructed
-        ledger state — bit-identical either way.
-        """
+        """Route a whole (arrival-sorted) stream through :meth:`route`,
+        one job at a time; returns per-instance sub-streams aligned
+        with ``specs``."""
         arrivals = [job.arrival for job in jobs]
         if arrivals != sorted(arrivals):
             raise ValueError("fleet jobs must be sorted by arrival")
-        start = 0
-        if _fleet_engine(self.config) != "scalar":
-            start = self._route_epoch(jobs)
-        for job in jobs[start:]:
+        for job in jobs:
             self.route(job)
         return self.routed
-
-    # -- vectorized routing epoch -------------------------------------
-
-    def _epoch_eligible(self, jobs: Sequence[FleetJob]) -> bool:
-        """Can the whole decision plane be replayed as one epoch?
-
-        Round-robin routing is a pure function of the arrival order —
-        no decision reads a backlog — so the only remaining coupling
-        is each ledger's own clock, which the epoch speculates idle
-        and then verifies.  Every other policy, elastic scaling, any
-        rate-limited tenant, or a pool big enough to trip the global
-        depth even when idle-verified (one in-flight job per
-        instance), keeps the scalar path.  A job naming an unknown
-        tenant or benchmark also declines, so the scalar loop raises
-        its diagnostic at exactly the right job.
-        """
-        if self.config.policy != ROUND_ROBIN or self.config.elastic:
-            return False
-        if len(self.specs) >= self.config.global_depth:
-            return False
-        if any(t.rate > 0.0 for t in self.tenants.values()):
-            return False
-        if self.n_offered or len(jobs) < 2:
-            return False
-        for job in jobs:
-            if (job.tenant not in self._buckets
-                    or job.benchmark not in self._by_benchmark):
-                return False
-        return True
-
-    def _estimate_batch(self, pool_index: int,
-                        sub_jobs: List[FleetJob],
-                        arr: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_estimate` for one instance under the
-        idle-ledger speculation (``start == arrival``), replicating
-        the scalar arithmetic operation by operation."""
-        spec = self.specs[pool_index]
-        controller = spec.controller
-        levels = controller.levels
-        deadline = spec.config.deadline
-        budgets = (arr + deadline) - arr
-        predicted = [job.job.record.predicted_cycles
-                     for job in sub_jobs]
-        service = np.empty(len(sub_jobs))
-        have = np.array([p is not None for p in predicted])
-        if not have.all():
-            # No prediction: a full deadline at the fastest point —
-            # the scalar path's conservative bound.
-            service[~have] = deadline
-        if have.any():
-            hp = np.flatnonzero(have)
-            cycles = np.array([float(predicted[k]) for k in hp])
-            if controller.uses_slice and controller.charge_overheads:
-                t_slice = np.array(
-                    [sub_jobs[k].job.record.slice_cycles for k in hp],
-                    dtype=float) / levels.nominal.frequency
-            else:
-                t_slice = np.zeros(hp.size)
-            t_switch = (spec.config.t_switch
-                        if controller.charge_overheads else 0.0)
-            decision = select_level_batch(
-                levels, cycles, budgets[hp],
-                margin_fraction=getattr(controller, "margin", 0.0),
-                t_slice=t_slice, t_switch=t_switch,
-                allow_boost=getattr(controller, "boost", False),
-            )
-            arrays = levels.arrays()
-            freqs = arrays.frequencies
-            if arrays.boost_frequency is not None:
-                freqs = np.append(freqs, arrays.boost_frequency)
-            service[hp] = ((t_slice + t_switch)
-                           + cycles / freqs[decision.level_index])
-        return service
-
-    def _route_epoch(self, jobs: Sequence[FleetJob]) -> int:
-        """Decide a whole arrival stream as one vectorized epoch.
-
-        Speculates every ledger idle at every arrival it receives
-        (``start == arrival``), derives the round-robin assignment in
-        closed form, estimates per instance with
-        :func:`~repro.dvfs.select_level_batch`, then verifies the
-        speculation per instance: the committed prefix ends at the
-        first job whose predecessor on the same instance finishes
-        after it arrives.  Returns how many jobs were committed (0 =
-        ineligible); the caller's scalar loop handles the rest from
-        the reconstructed state.
-        """
-        if not self._epoch_eligible(jobs):
-            return 0
-        n = len(jobs)
-        arrivals = np.array([job.arrival for job in jobs], dtype=float)
-        positions: Dict[str, List[int]] = {}
-        for g, job in enumerate(jobs):
-            positions.setdefault(job.benchmark, []).append(g)
-        chosen = np.empty(n, dtype=np.int64)
-        for benchmark, pos in positions.items():
-            peers = np.array(self._by_benchmark[benchmark],
-                             dtype=np.int64)
-            chosen[np.array(pos, dtype=np.int64)] = \
-                peers[np.arange(len(pos)) % peers.size]
-        # Per-instance service estimates and chain verification: the
-        # prefix holds while every instance's previous job finishes at
-        # or before its next one arrives.
-        per_instance: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        v = n
-        for c in range(len(self.specs)):
-            gpos = np.flatnonzero(chosen == c)
-            if gpos.size == 0:
-                continue
-            service = self._estimate_batch(
-                c, [jobs[g] for g in gpos], arrivals[gpos])
-            finishes = arrivals[gpos] + service
-            per_instance[c] = (gpos, finishes)
-            if gpos.size > 1:
-                bad = np.flatnonzero(
-                    finishes[:-1] > arrivals[gpos][1:])
-                if bad.size:
-                    v = min(v, int(gpos[bad[0] + 1]))
-        if v < 1:
-            return 0
-        # Backlog telemetry: with idle-verified chains, an instance
-        # contributes at most its last committed finish — busy at a
-        # later global arrival only while that finish lies beyond it.
-        gidx = np.arange(v)
-        arr_v = arrivals[:v]
-        busy_total = np.zeros(v, dtype=np.int64)
-        inst_busy: Dict[int, np.ndarray] = {}
-        zeros_busy = np.zeros(v, dtype=bool)
-        for c, (gpos, finishes) in per_instance.items():
-            gp = gpos[gpos < v]
-            if gp.size == 0:
-                continue
-            fc = finishes[:gp.size]
-            j = np.searchsorted(gp, gidx, side="left") - 1
-            busy = (j >= 0) & (fc[np.clip(j, 0, fc.size - 1)] > arr_v)
-            inst_busy[c] = busy
-            busy_total += busy
-            ledger = self._ledgers[c]
-            ledger.clock = float(fc[-1])
-            ledger._finishes = deque(fc.tolist())
-            ledger._in_flight = int(gp.size)
-        for benchmark, pos in positions.items():
-            self._rr[benchmark] = int(np.searchsorted(pos, v))
-        peer_tuples = {b: tuple(p)
-                       for b, p in self._by_benchmark.items()}
-        chosen_l = chosen[:v].tolist()
-        for g in range(v):
-            job = jobs[g]
-            peers = peer_tuples[job.benchmark]
-            self.assignments[job.index] = chosen_l[g]
-            self.routed[chosen_l[g]].append(job)
-            self.routing_log.append(RoutingDecision(
-                index=job.index, benchmark=job.benchmark,
-                tenant=job.tenant, arrival=job.arrival,
-                candidates=peers,
-                backlogs=tuple(
-                    int(inst_busy.get(c, zeros_busy)[g])
-                    for c in peers),
-                chosen=chosen_l[g]))
-        self.n_offered = v
-        observer = get_observer()
-        if observer is not None:
-            observer.metrics.inc("serve.fleet.offered", v)
-            observer.metrics.inc("serve.fleet.routed", v)
-            observer.metrics.inc("serve.fleet.epochs")
-            observer.metrics.inc("serve.fleet.epoch_jobs", v)
-            series = observer.timeseries
-            arr_l = arr_v.tolist()
-            busy_l = busy_total.tolist()
-            for g in range(v):
-                series.observe("serve.fleet.backlog", arr_l[g],
-                               busy_l[g])
-                series.observe("serve.fleet.shed", arr_l[g], 0.0)
-        return v
 
 
 def virtual_outcomes(result: StreamResult) -> List:
@@ -822,11 +625,7 @@ def _run_shard(task: Tuple[ShardSpec, List[FleetJob]]) -> StreamResult:
     spec, jobs = task
     stream = spec.make_stream()
     stream.slo_live = False
-    t0 = time.perf_counter()
-    for job in jobs:
-        stream.offer(job.job)
-    stream.drain()
-    result = stream.result(wall_s=time.perf_counter() - t0)
+    result = _serve_virtual(stream, [job.job for job in jobs])
     _emit_stream_summary(result)
     _check_result(stream, result)
     return result

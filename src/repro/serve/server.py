@@ -20,19 +20,23 @@ queue over one accelerator:
 Execution accounting mirrors :func:`~repro.runtime.episode.run_episode`
 exactly — the same energy decomposition, deadline epsilon, and switch
 charging rules — but on a stream timeline where ``release`` is the
-arrival instant rather than a rigid period boundary.  Two clocks are
-maintained deliberately: the *virtual clock* (simulated accelerator
-time, used for all time/energy accounting and backpressure) and the
-*wall clock* (decision latency, realtime pacing).  ``realtime=False``
-drives the virtual clock as fast as the host allows; ``realtime=True``
-paces arrivals against the wall clock through asyncio, which is what
-``repro serve`` and the throughput benchmark measure.
+arrival instant rather than a rigid period boundary.  There is one
+engine: the per-job ``offer``/``drain`` state machine, which runs the
+slice once per executed job and then picks that job's level, as the
+paper's controller does (Fig 4).
+
+Two clocks are maintained deliberately: the *virtual clock*
+(simulated accelerator time, used for all time/energy accounting and
+backpressure) and the *wall clock* (decision latency, realtime
+pacing).  ``realtime=False`` drives the virtual clock as fast as the
+host allows; ``realtime=True`` paces arrivals against the wall clock
+through asyncio, which is what ``repro serve`` and the throughput
+benchmark measure.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -58,15 +62,22 @@ FALLBACK = "fallback"
 SHED = "shed"
 TERMINAL_STATES = (COMPLETED, FALLBACK, SHED)
 
-#: Decision-plane engines.  ``auto`` (the default) runs the
-#: epoch-coalescing vectorized engine (:mod:`repro.serve.vector`)
-#: wherever its eligibility proof holds and the scalar state machine
-#: everywhere else; ``scalar`` forces the per-job path; ``vector``
-#: insists on the vectorized driver (which still defers to scalar
-#: job-by-job whenever state coupling binds).  Selected per stream by
-#: ``ServeConfig.engine`` or globally by ``REPRO_SERVE_ENGINE``.
-ENGINES = ("auto", "scalar", "vector")
-ENGINE_ENV = "REPRO_SERVE_ENGINE"
+#: The ``engine`` values :class:`ServeConfig` and
+#: :class:`~repro.serve.fleet.FleetConfig` still accept.  Serving has
+#: one engine, so the field selects nothing; it is kept only because
+#: the benchmark in ``perfbench/`` passes it.
+_ENGINE_VALUES = (None, "auto", "scalar")
+
+
+def _check_engine(engine: Optional[str]) -> None:
+    """Reject an ``engine`` value other than ``_ENGINE_VALUES``."""
+    if engine == "vector":
+        raise ValueError(
+            "engine='vector': the vectorized serving engine was "
+            "removed; every stream runs the per-job engine")
+    if engine not in _ENGINE_VALUES:
+        raise ValueError(
+            f"engine must be None, 'auto' or 'scalar', got {engine!r}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,7 @@ class ServeConfig:
     batch_max: int = 8             # micro-batch size cap
     prediction_budget: Optional[float] = None  # wall seconds / decision
     strict: Optional[bool] = None  # None = follow REPRO_CHECK
-    engine: Optional[str] = None   # None = follow REPRO_SERVE_ENGINE
+    engine: Optional[str] = None   # selects nothing; see _ENGINE_VALUES
 
     def __post_init__(self) -> None:
         if self.deadline <= 0.0:
@@ -88,24 +99,7 @@ class ServeConfig:
             raise ValueError("queue_depth must be >= 1")
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}")
-
-
-def resolve_engine(config: ServeConfig) -> str:
-    """The stream's effective decision-plane engine.
-
-    ``ServeConfig.engine`` wins; otherwise the ``REPRO_SERVE_ENGINE``
-    environment variable; otherwise ``auto``.
-    """
-    engine = config.engine
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "auto") or "auto"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV} must be one of {ENGINES}, got {engine!r}")
-    return engine
+        _check_engine(self.engine)
 
 
 class RecordPredictor:
@@ -205,9 +199,7 @@ class SlicePredictor:
                                result.events, len(jobs))
         # One einsum over the whole feature matrix; the kernel is
         # row-stable, so every job's prediction is independent of how
-        # many neighbours share its batch — which is what lets the
-        # scalar and vectorized engines (different batch shapes, same
-        # kernel) stay bit-identical.
+        # many neighbours share its micro-batch.
         predicted = predict_cycles_batch(self._package.predictor, x)
         for j, i in enumerate(rows):
             if not result.finished[j]:
@@ -352,9 +344,9 @@ class AcceleratorStream:
         self._in_flight = 0
         self.outcomes: List[StreamOutcome] = []
         self.n_offered = 0
-        #: Committed decision epochs as ``(first_index, n_jobs)``
-        #: pairs — written only by the vectorized engine, audited by
-        #: :func:`repro.check.check_epochs` in strict mode.
+        #: Always empty: serving decides one job at a time.  Kept only
+        #: because the benchmark in ``perfbench/`` audits it with
+        #: :func:`repro.check.check_epochs`.
         self.epoch_log: List[Tuple[int, int]] = []
         self.now = 0.0
         self._previous = self.levels.nominal
@@ -621,7 +613,7 @@ def _check_result(stream: AcceleratorStream,
     if not strict:
         return
     # Imported lazily: repro.check imports this module's dataclasses.
-    from ..check import InvariantError, check_epochs, check_stream
+    from ..check import InvariantError, check_stream
     violations = check_stream(
         result,
         energy_model=stream.energy_model,
@@ -631,9 +623,6 @@ def _check_result(stream: AcceleratorStream,
         uses_slice=stream.controller.uses_slice,
         charge_overheads=stream.controller.charge_overheads,
     )
-    if stream.epoch_log:
-        violations = list(violations) + list(
-            check_epochs(result, stream.epoch_log))
     if violations:
         raise InvariantError(violations)
 
@@ -654,13 +643,8 @@ def _emit_stream_summary(result: StreamResult) -> None:
 
 def _serve_virtual(stream: AcceleratorStream,
                    jobs: Sequence[StreamJob]) -> StreamResult:
-    """Drive one stream on the virtual clock, as fast as possible.
-
-    Under the ``auto``/``vector`` engines the epoch-coalescing driver
-    takes over — it vectorizes decision epochs where they decouple and
-    replays the exact scalar ``offer``/``drain`` machine everywhere
-    else.  Realtime mode always runs scalar: epochs would require
-    arrivals that have not happened yet on the wall clock.
+    """Drive one stream on the virtual clock, as fast as possible:
+    ``offer`` per job in arrival order, then ``drain``.
 
     Deliberately synchronous: virtual serving never awaits, and
     ``asyncio.run`` is far from free here — installing its SIGINT
@@ -668,13 +652,9 @@ def _serve_virtual(stream: AcceleratorStream,
     queued job list (numpy feature arrays included) twice per run.
     """
     t0 = time.perf_counter()
-    if resolve_engine(stream.config) != "scalar":
-        from .vector import drive_stream_vectorized
-        drive_stream_vectorized(stream, jobs)
-    else:
-        for sjob in jobs:
-            stream.offer(sjob)
-        stream.drain()
+    for sjob in jobs:
+        stream.offer(sjob)
+    stream.drain()
     return stream.result(wall_s=time.perf_counter() - t0)
 
 

@@ -177,129 +177,3 @@ def test_rounding_noise_is_forgiven(deadline, factor, k):
     release = deadline * factor
     finish = (release + deadline) + k * deadline
     assert not deadline_missed(finish, release, deadline)
-
-
-# -- batch kernel equivalence (the vectorized decision plane) ---------
-
-import numpy as np  # noqa: E402
-
-from repro.dvfs import (  # noqa: E402
-    FPGA_VOLTAGES,
-    FpgaVfModel,
-    select_level_batch,
-)
-
-#: A second table with a different shape (and a boost point guaranteed
-#: by the FPGA voltage ladder differing from the ASIC one), so the
-#: batch kernel is exercised over more than one frequency grid.
-FPGA_LEVELS = build_level_table(FpgaVfModel(f_nominal=100 * MHZ),
-                                FPGA_VOLTAGES)
-TABLES = [LEVELS, FPGA_LEVELS]
-
-slice_st = st.floats(min_value=0.0, max_value=0.1,
-                     allow_nan=False, allow_infinity=False)
-switch_st = st.floats(min_value=0.0, max_value=0.01,
-                      allow_nan=False, allow_infinity=False)
-table_st = st.integers(min_value=0, max_value=len(TABLES) - 1)
-
-
-def _assert_batch_matches_scalar(levels, cycles, budgets, margin,
-                                 t_slice, t_switch, boost):
-    batch = select_level_batch(
-        levels, np.array(cycles, dtype=float),
-        np.array(budgets, dtype=float), margin_fraction=margin,
-        t_slice=t_slice, t_switch=t_switch, allow_boost=boost)
-    assert len(batch) == len(cycles)
-    for i, (c, b) in enumerate(zip(cycles, budgets)):
-        scalar = select_level(levels, c, b, margin_fraction=margin,
-                              t_slice=t_slice, t_switch=t_switch,
-                              allow_boost=boost)
-        rehydrated = batch.decision_at(levels, i)
-        assert rehydrated.point == scalar.point, (
-            f"job {i}: batch chose {rehydrated.point}, "
-            f"scalar {scalar.point}")
-        assert rehydrated.feasible == scalar.feasible
-        # Bit-identical f_required, not merely close: the engines must
-        # agree on the exact float.
-        assert (rehydrated.f_required == scalar.f_required
-                or (math.isnan(rehydrated.f_required)
-                    and math.isnan(scalar.f_required)))
-
-
-@settings(deadline=None)
-@given(table=table_st,
-       jobs=st.lists(st.tuples(cycles_st, budget_st),
-                     min_size=1, max_size=64),
-       margin=margin_st, t_slice=slice_st, t_switch=switch_st,
-       boost=boost_st)
-def test_batch_equals_scalar_elementwise(table, jobs, margin, t_slice,
-                                         t_switch, boost):
-    """``select_level_batch`` is the scalar ``select_level`` mapped
-    over the array — same point, feasibility, and exact f_required
-    for every element, margins/overheads/boost included."""
-    cycles = [c for c, _ in jobs]
-    budgets = [b for _, b in jobs]
-    _assert_batch_matches_scalar(TABLES[table], cycles, budgets,
-                                 margin, t_slice, t_switch, boost)
-
-
-@settings(deadline=None)
-@given(table=table_st, budget=budget_st, margin=margin_st,
-       overhead=st.floats(min_value=0.0, max_value=2.0,
-                          allow_nan=False),
-       cycles=st.lists(cycles_st, min_size=1, max_size=16),
-       boost=boost_st)
-def test_batch_infeasible_fallback_matches(table, budget, margin,
-                                           overhead, cycles, boost):
-    """When overheads eat the whole budget, every batch element takes
-    the same flat-out fallback the scalar path takes."""
-    levels = TABLES[table]
-    t_slice = budget + overhead
-    batch = select_level_batch(
-        levels, np.array(cycles), np.full(len(cycles), budget),
-        margin_fraction=margin, t_slice=t_slice, allow_boost=boost)
-    fastest = levels.fastest(allow_boost=boost)
-    for i, c in enumerate(cycles):
-        decision = batch.decision_at(levels, i)
-        if c > 0.0:
-            assert not decision.feasible
-            assert decision.f_required == math.inf
-        assert decision.point == fastest or decision.feasible
-
-
-@settings(deadline=None)
-@given(k=st.integers(min_value=-30, max_value=0),
-       boost=boost_st)
-def test_batch_exact_fit_boundary(k, boost):
-    """The whole exact-fit frontier in one batch: for every level, the
-    exactly-fitting cycle count and its ``nextafter`` bump — the batch
-    kernel must place each on the same side of the boundary as the
-    scalar path (power-of-two budgets make the division exact)."""
-    budget = 2.0 ** k
-    cycles = []
-    for point in LEVELS.points:
-        exact = point.frequency * budget
-        cycles.extend([exact, math.nextafter(exact, math.inf)])
-    budgets = [budget] * len(cycles)
-    _assert_batch_matches_scalar(LEVELS, cycles, budgets, 0.0, 0.0,
-                                 0.0, boost)
-
-
-@settings(deadline=None)
-@given(jobs=st.lists(st.tuples(cycles_st, budget_st),
-                     min_size=1, max_size=32),
-       margin=margin_st)
-def test_batch_boost_only_beyond_table(jobs, margin):
-    """Boost is selected by the batch kernel exactly when no table
-    point meets f_required but the boost point does — never sooner."""
-    cycles = np.array([c for c, _ in jobs])
-    budgets = np.array([b for _, b in jobs])
-    batch = select_level_batch(LEVELS, cycles, budgets,
-                               margin_fraction=margin,
-                               allow_boost=True)
-    arrays = LEVELS.arrays()
-    for i in range(len(jobs)):
-        decision = batch.decision_at(LEVELS, i)
-        if decision.point.is_boost and decision.feasible:
-            assert arrays.frequencies[-1] < decision.f_required
-            assert arrays.boost_frequency >= decision.f_required

@@ -122,6 +122,15 @@ def test_fleet_config_validates():
         FleetConfig(min_active=0)
     with pytest.raises(ValueError, match="scale_down_backlog"):
         FleetConfig(scale_up_backlog=2.0, scale_down_backlog=2.0)
+    # ``engine`` selects nothing: three values pass, ``vector`` names
+    # its removal, anything else is rejected.
+    for engine in (None, "auto", "scalar"):
+        assert FleetConfig(engine=engine).engine == engine
+    with pytest.raises(ValueError, match="vectorized serving engine "
+                                         "was removed"):
+        FleetConfig(engine="vector")
+    with pytest.raises(ValueError, match="engine must be"):
+        FleetConfig(engine="fast")
 
 
 def test_dispatcher_validates_stream(asic_levels):
@@ -377,47 +386,15 @@ def test_serve_fleet_strict_raises_on_violation(asic_levels,
         raise InvariantError(violations)
 
 
-# -- vectorized routing epochs and serial degrade --------------------
-
-
-def _dispatch_pair(asic_levels, jobs, **config_kw):
-    """Dispatch the same jobs through scalar and auto dispatchers."""
-    logs = {}
-    for engine in ("scalar", "auto"):
-        pool = make_pool(asic_levels)
-        dispatcher = FleetDispatcher(
-            pool, config=FleetConfig(engine=engine, **config_kw))
-        dispatcher.dispatch(jobs)
-        logs[engine] = dispatcher
-    return logs["scalar"], logs["auto"]
-
-
-def test_round_robin_epoch_matches_scalar_routing(asic_levels):
-    """The vectorized routing epoch reproduces the scalar dispatcher's
-    full audit trail — candidates, backlogs, choices — exactly."""
-    from repro.obs import session
-
-    jobs = mixed_jobs(asic_levels, rate=1500.0, n_jobs=400)
-    with session(command="epoch routing") as obs:
-        scalar, fast = _dispatch_pair(asic_levels, jobs,
-                                      policy=ROUND_ROBIN)
-        assert obs.metrics.counters.get("serve.fleet.epoch_jobs", 0) > 0
-    assert fast.routing_log == scalar.routing_log
-    assert fast.assignments == scalar.assignments
-    assert fast.sheds == scalar.sheds
-    assert fast.n_offered == scalar.n_offered
-    assert fast._rr == scalar._rr
-    # Reconstructed ledgers must carry the same projected clocks.
-    for a, b in zip(scalar._ledgers, fast._ledgers):
-        assert a.clock == b.clock
+# -- the engine knob, the scalar diagnostic and serial degrade --------
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_fleet_engines_bit_identical_for_every_policy(asic_levels,
                                                       policy):
-    """serve_fleet under scalar vs auto engines: identical routing and
-    identical shard outcomes in canonical form, for all policies (only
-    round_robin vectorizes; the rest must pass through untouched)."""
+    """Every accepted ``FleetConfig.engine`` value (None, ``auto``,
+    ``scalar``) selects the same single engine: identical routing and
+    identical shard outcomes in canonical form, for all policies."""
     jobs = mixed_jobs(asic_levels, rate=800.0, n_jobs=300)
 
     def run(engine):
@@ -427,53 +404,25 @@ def test_fleet_engines_bit_identical_for_every_policy(asic_levels,
                                strict=False),
             workers=1)
 
-    scalar, fast = run("scalar"), run("auto")
-    assert fast.assignments == scalar.assignments
-    assert fast.sheds == scalar.sheds
-    for a, b in zip(scalar.shards, fast.shards):
-        assert virtual_outcomes(a) == virtual_outcomes(b)
-    assert check_fleet(fast) == []
+    reference = run(None)
+    for engine in ("auto", "scalar"):
+        other = run(engine)
+        assert other.assignments == reference.assignments
+        assert other.sheds == reference.sheds
+        for a, b in zip(reference.shards, other.shards):
+            assert virtual_outcomes(a) == virtual_outcomes(b)
+    assert check_fleet(reference) == []
 
 
-def test_epoch_declines_on_rate_limits_elastic_and_depth(asic_levels):
-    """Any coupled admission feature keeps the scalar path — and the
-    results stay identical by construction."""
-    jobs = mixed_jobs(asic_levels, rate=1000.0, n_jobs=150,
-                      tenants=("limited",))
-    pool = make_pool(asic_levels)
-    # Rate-limited tenant: epoch ineligible.
-    dispatcher = FleetDispatcher(
-        pool, config=FleetConfig(policy=ROUND_ROBIN, engine="auto"),
-        tenants=[TenantSpec("limited", rate=100.0, burst=4.0)])
-    assert not dispatcher._epoch_eligible(jobs)
-    # Elastic scaling: epoch ineligible.
-    dispatcher = FleetDispatcher(
-        pool, config=FleetConfig(policy=ROUND_ROBIN, engine="auto",
-                                 elastic=True))
-    jobs_default = mixed_jobs(asic_levels, rate=1000.0, n_jobs=50)
-    assert not dispatcher._epoch_eligible(jobs_default)
-    # Pool at or above the global depth: epoch ineligible.
-    dispatcher = FleetDispatcher(
-        pool, config=FleetConfig(policy=ROUND_ROBIN, engine="auto",
-                                 global_depth=len(pool)))
-    assert not dispatcher._epoch_eligible(jobs_default)
-    # Non-round-robin policy: epoch ineligible.
-    dispatcher = FleetDispatcher(
-        pool, config=FleetConfig(policy=LEAST_LOADED, engine="auto"))
-    assert not dispatcher._epoch_eligible(jobs_default)
-
-
-def test_epoch_declines_unknown_benchmark_with_scalar_diagnostic(
-        asic_levels):
-    """A mid-stream job naming an unserved benchmark must raise the
-    scalar path's ValueError, with the offered count at the failing
-    job — not a vectorized IndexError."""
+def test_dispatch_unknown_benchmark_raises_at_failing_job(asic_levels):
+    """A mid-stream job naming an unserved benchmark raises the
+    dispatcher's ValueError, with the offered count at the failing
+    job."""
     jobs = mixed_jobs(asic_levels, rate=500.0, n_jobs=60)
     bad = dataclasses.replace(jobs[30], benchmark="gamma")
     jobs = jobs[:30] + [bad] + jobs[31:]
     dispatcher = FleetDispatcher(
-        make_pool(asic_levels),
-        config=FleetConfig(policy=ROUND_ROBIN, engine="auto"))
+        make_pool(asic_levels), config=FleetConfig(policy=ROUND_ROBIN))
     with pytest.raises(ValueError, match="gamma"):
         dispatcher.dispatch(jobs)
     assert dispatcher.n_offered == 31

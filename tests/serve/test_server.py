@@ -12,9 +12,11 @@ from repro.serve import (
     ServeConfig,
     SlicePredictor,
     build_stream_jobs,
+    poisson_arrivals,
     serve_stream,
     serve_streams,
     stream_from_records,
+    virtual_outcomes,
 )
 from repro.units import MS
 from tests.conftest import FlatEnergyModel
@@ -154,13 +156,28 @@ def test_realtime_smoke(make_stream, records):
     assert violations_of(stream, result) == []
 
 
-def test_serve_config_validation():
+def test_serve_config_validation(make_stream, records):
     with pytest.raises(ValueError, match="deadline"):
         ServeConfig(deadline=0.0)
     with pytest.raises(ValueError, match="queue_depth"):
         ServeConfig(queue_depth=0)
     with pytest.raises(ValueError, match="batch_max"):
         ServeConfig(batch_max=0)
+    with pytest.raises(ValueError, match="vectorized serving engine "
+                                         "was removed"):
+        ServeConfig(engine="vector")
+    with pytest.raises(ValueError, match="engine must be"):
+        ServeConfig(engine="fast")
+    # The accepted ``engine`` values select nothing: one engine, the
+    # same outcomes, and no decision epochs.
+    jobs = spaced(records, 0.5 * MS)
+    served = {}
+    for engine in (None, "auto", "scalar"):
+        stream = make_stream(engine=engine, queue_depth=4)
+        served[engine] = virtual_outcomes(serve_stream(stream, jobs))
+        assert stream.epoch_log == []
+    assert served["auto"] == served[None] == served["scalar"]
+    assert any(o.status == SHED for o in served[None])
 
 
 def test_result_rates(make_stream, asic_levels):
@@ -240,6 +257,46 @@ def test_batched_slice_prediction_matches_per_job(shared_bundle):
             a.job.predicted_cycles, rel=1e-12)
         assert b.job.slice_cycles == a.job.slice_cycles
     assert violations_of(stream, batched) == []
+
+
+class _CountingSlicePredictor(SlicePredictor):
+    """A live slice predictor that counts its ``predict`` calls."""
+
+    def __init__(self, package):
+        super().__init__(package)
+        self.calls = 0
+
+    def predict(self, sjob):
+        self.calls += 1
+        return super().predict(sjob)
+
+
+def test_slice_runs_once_per_executed_job(shared_bundle):
+    """Regression: serving a Poisson stream runs the live slice exactly
+    once per executed non-fallback job (the paper's Fig 4 controller),
+    not once per speculated job."""
+    from repro.experiments import make_controller, tech_context
+    from repro.rtl import set_default_backend
+
+    bundle = shared_bundle("cjpeg", 0.05)
+    ctx = tech_context(bundle, tech="asic")
+    jobs = build_stream_jobs(
+        bundle, poisson_arrivals(24.0, n_jobs=80, seed=5),
+        with_inputs=True)
+    try:
+        set_default_backend("stepjit")  # the per-job predict path
+        predictor = _CountingSlicePredictor(bundle.package)
+    finally:
+        set_default_backend(None)
+    stream = AcceleratorStream(
+        "cjpeg", make_controller(ctx, "prediction"),
+        ctx.energy_model, ctx.slice_energy_model, predictor=predictor,
+        config=ServeConfig(deadline=ctx.config.deadline,
+                           t_switch=ctx.config.t_switch))
+    result = serve_stream(stream, jobs)
+    assert result.n_completed > 0
+    assert predictor.calls == result.n_completed
+    assert violations_of(stream, result) == []
 
 
 class _RescanBacklogStream(AcceleratorStream):
