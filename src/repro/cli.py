@@ -19,7 +19,7 @@ Commands:
   (``--golden-dir tests/golden``, regenerate with ``--update-golden``);
 * ``conform --seeds N`` — sweep sampled accelerators from
   :mod:`repro.gen` through the differential conformance battery:
-  four-backend bit-for-bit agreement, offline-flow training, episode
+  three-backend bit-for-bit agreement, offline-flow training, episode
   invariants on ASIC and FPGA, and adversarial served streams;
 * ``serve --benchmark <name> --rate R --duration S`` — run the online
   serving runtime: seeded arrival streams over one or more
@@ -838,8 +838,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
           f"{package.slice_cost.area_fraction * 100:.1f}%")
     f0 = design.nominal_frequency
     from .rtl import make_simulation
-    sim = make_simulation(package.simulation_module(),
-                          track_state_cycles=False)
+    sim = make_simulation(package.module, track_state_cycles=False)
     print(f"{'job':>4s} {'predicted':>10s} {'actual':>10s} {'err%':>7s}")
     for i, item in enumerate(workload.test[:args.show]):
         job = design.encode_job(item)

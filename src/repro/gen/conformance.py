@@ -7,8 +7,8 @@ checks spanning every layer of the repository:
 1. ``lint`` — :func:`repro.rtl.lint_module` reports no errors;
 2. ``verilog`` — :func:`repro.rtl.to_verilog` emits a non-trivial
    netlist without crashing;
-3. ``backends`` — all four simulation backends (``interp``,
-   ``compiled``, ``stepjit``, ``batch``) agree bit-for-bit on cycle
+3. ``backends`` — all three simulation backends (``interp``,
+   ``stepjit``, ``batch``) agree bit-for-bit on cycle
    count, final architectural state, per-state residency, final FSM
    states and listener events (ordered events for the scalar backends,
    aggregate event totals for the lockstep batch kernel), with
@@ -47,7 +47,6 @@ from ..rtl import (
     Listener,
     Simulation,
     StepSimulation,
-    compile_module,
     errors_only,
     lint_module,
     to_verilog,
@@ -231,30 +230,27 @@ def _run_batch(module, job, fast_forward: bool,
 def check_backend_agreement(design: GeneratedDesign,
                             jobs: Sequence[List[int]],
                             max_cycles: int = 2_000_000) -> None:
-    """Assert all four backends agree bit-for-bit on every job.
+    """Assert all three backends agree bit-for-bit on every job.
 
-    Runs each encoded job through ``interp``, ``compiled``,
+    Runs each encoded job through ``interp`` (the reference),
     ``stepjit`` and the ``batch`` scalar adapter with fast-forward on
     and off, and raises :class:`AssertionError` naming the first
     divergent (backend, field) pair.  Scalar backends must match on
     ordered events; the batch kernel on aggregate event totals.
     """
     module = design.build()
-    compiled = compile_module(module)
     for j, items in enumerate(jobs):
         job = design.encode_job(items)
         for fast_forward in (True, False):
             runs = {
                 "interp": _run_scalar(module, Simulation, job,
                                       fast_forward, max_cycles),
-                "compiled": _run_scalar(compiled, Simulation, job,
-                                        fast_forward, max_cycles),
                 "stepjit": _run_scalar(module, StepSimulation, job,
                                        fast_forward, max_cycles),
                 "batch": _run_batch(module, job, fast_forward,
                                     max_cycles),
             }
-            for backend in ("compiled", "stepjit", "batch"):
+            for backend in ("stepjit", "batch"):
                 fields = ("cycles", "state", "state_cycles",
                           "fsm_state",
                           "events_agg" if backend == "batch"

@@ -9,7 +9,6 @@ datapath blocks); :func:`synthesize` lowers a design to a structural
 
 from .backend import (
     BACKENDS,
-    compiled_clone,
     make_simulation,
     resolve_backend,
     set_default_backend,
@@ -22,7 +21,6 @@ from .batchsim import (
     BatchSimulation,
     compile_batch_stepper,
 )
-from .compiled import CompiledExpr, compile_expr, compile_module
 from .counter import Counter, down_counter, up_counter
 from .dot import netlist_to_dot
 from .idioms import ItemLoop
@@ -55,7 +53,7 @@ from .wave import VcdWriter
 __all__ = [
     "BACKENDS", "BatchEvents", "BatchProgram", "BatchRunResult",
     "BatchScalarSimulation", "BatchSimulation", "BinOp", "Cell",
-    "CompiledExpr", "Const", "Counter",
+    "Const", "Counter",
     "DatapathBlock",
     "ItemLoop", "LintFinding", "VcdWriter", "errors_only", "lint_module",
     "netlist_to_dot",
@@ -63,9 +61,8 @@ __all__ = [
     "Netlist", "Port", "Provenance", "Reg", "RunResult", "Sig",
     "Simulation", "StepProgram", "StepSimulation", "Transition", "UnOp",
     "Update", "Wire", "all_of",
-    "any_of", "compile_batch_stepper", "compile_expr", "compile_module",
-    "compile_stepper",
-    "compiled_clone", "derive_module",
+    "any_of", "compile_batch_stepper", "compile_stepper",
+    "derive_module",
     "down_counter", "make_simulation", "maximum", "minimum",
     "resolve_backend", "set_default_backend", "synthesize", "to_verilog",
     "up_counter", "wrap",

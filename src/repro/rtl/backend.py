@@ -1,12 +1,11 @@
-"""Simulation backend selection: interp | compiled | stepjit | batch.
+"""Simulation backend selection: interp | stepjit | batch.
 
 All backends are cycle-exact (the differential fuzz suite and the
 golden gate enforce this), so the choice is purely a speed knob:
 
 * ``interp``   — the tree-walking interpreter (:class:`Simulation` on a
-  raw module).  Baseline; useful for debugging generated code.
-* ``compiled`` — per-expression codegen (:func:`compile_module` +
-  :class:`Simulation`).  2–4× over ``interp``.
+  raw module).  The reference every other backend is checked against;
+  useful for debugging generated code.
 * ``stepjit``  — the whole-module step compiler
   (:class:`StepSimulation`): one generated function per cycle.  The
   default.
@@ -16,6 +15,9 @@ golden gate enforce this), so the choice is purely a speed knob:
   one numpy array program.  Fastest at batch widths ≫ 1; a listener
   that needs per-cycle callbacks (``wants_cycles``) or lacks
   ``absorb_batch_events`` silently falls back to ``stepjit``.
+
+``stepjit`` and ``batch`` share one compiler front-end
+(:mod:`repro.rtl.lowering`).
 
 Resolution priority: explicit argument > :func:`set_default_backend` >
 the ``REPRO_BACKEND`` environment variable > ``stepjit``.
@@ -30,23 +32,17 @@ from __future__ import annotations
 
 import os
 from typing import Optional
-from weakref import WeakKeyDictionary
 
 from .batchsim import BatchScalarSimulation
-from .compiled import compile_module
 from .module import Module
 from .simulator import Simulation
 from .stepjit import StepSimulation
 
-BACKENDS = ("interp", "compiled", "stepjit", "batch")
+BACKENDS = ("interp", "stepjit", "batch")
 DEFAULT_BACKEND = "stepjit"
 BACKEND_ENV = "REPRO_BACKEND"
 
 _default_override: Optional[str] = None
-
-#: module -> compiled clone, so repeated compiled-backend simulations
-#: of the same module reuse one compile_module() pass.
-_COMPILED: "WeakKeyDictionary[Module, Module]" = WeakKeyDictionary()
 
 
 def _validate(name: str) -> str:
@@ -79,19 +75,6 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
     return DEFAULT_BACKEND
 
 
-def compiled_clone(module: Module) -> Module:
-    """A (cached) per-expression-compiled clone of ``module``."""
-    clone = _COMPILED.get(module)
-    if clone is None:
-        # compile_module returns a new Module; never re-compile one.
-        if getattr(module.done_expr, "original", None) is not None:
-            clone = module
-        else:
-            clone = compile_module(module)
-        _COMPILED[module] = clone
-    return clone
-
-
 def make_simulation(module: Module, *, backend: Optional[str] = None,
                     **kwargs) -> Simulation:
     """Build a simulation of ``module`` on the resolved backend.
@@ -111,6 +94,4 @@ def make_simulation(module: Module, *, backend: Optional[str] = None,
         return BatchScalarSimulation(module, **kwargs)
     if name == "stepjit":
         return StepSimulation(module, **kwargs)
-    if name == "compiled":
-        return Simulation(compiled_clone(module), **kwargs)
     return Simulation(module, **kwargs)

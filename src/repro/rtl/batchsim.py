@@ -35,6 +35,9 @@ widths above 62 bits so no masked value can overflow.  Division, modulo
 and memory reads are guarded helpers, so masked-out rows never fault on
 garbage operands.
 
+The slot layout, line emitter and veto tables come from the front-end
+in :mod:`repro.rtl.lowering`, shared with the stepjit compiler.
+
 Programs are cached per module (weakly) and per variant (elide set,
 state-cycle tracking, fast-forward) and pickle as (module, options),
 recompiling on load — the same contract as :class:`StepProgram`.
@@ -51,8 +54,6 @@ fuzz suite and the golden gate (``repro check --backend batch``).
 
 from __future__ import annotations
 
-import keyword
-import re
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -62,11 +63,9 @@ import numpy as np
 
 from ..obs import get_observer
 from .expr import _CMPOPS, _PYOPS, BinOp, Const, Expr, MemRead, Mux, Sig, UnOp
-from .fsm import Fsm
+from .lowering import _MEM_PREFIX, _KernelCompiler
 from .module import Module
-from .simulator import RunResult, Simulation, _DepAnalysis, record_sim_run
-
-_MEM_PREFIX = "__mem__"
+from .simulator import RunResult, Simulation, record_sim_run
 
 #: Largest representable jump distance; also the "no ETA" sentinel.
 _BIG = 1 << 62
@@ -120,42 +119,23 @@ _KERNEL_GLOBALS = {
 }
 
 
-class _Names:
-    """Collision-free Python identifiers for generated locals."""
+class _BatchCompiler(_KernelCompiler):
+    """Emits the vectorized ``_step`` kernel for one module variant."""
 
-    _RESERVED = frozenset(keyword.kwlist) | {
+    RESERVED = frozenset({
         "S", "MEMS", "ML", "DYN", "SC", "EV", "CYC", "FIN",
         "max_cycles", "compact_below", "np", "int", "len",
         "_b2i", "_truth", "_div", "_mod", "_mread", "_I0", "_I1",
         "_m", "_f", "_x", "_r", "_veto", "_jump", "_k", "_inc",
         "_sm", "_pm", "_nofire", "_stepm", "_live", "_done",
         "_n", "R", "_ln", "_la", "_iters", "_lives", "_ffj",
-    }
-
-    def __init__(self) -> None:
-        self._used = set(self._RESERVED)
-
-    def make(self, prefix: str, name: str) -> str:
-        """A fresh identifier derived from ``prefix`` + ``name``."""
-        base = prefix + re.sub(r"\W", "_", name)
-        candidate = base
-        serial = 1
-        while candidate in self._used:
-            serial += 1
-            candidate = f"{base}_{serial}"
-        self._used.add(candidate)
-        return candidate
-
-
-class _BatchCompiler:
-    """Emits the vectorized ``_step`` kernel for one module variant."""
+    })
+    TAG = "batchsim"
 
     def __init__(self, module: Module, elide: FrozenSet[Tuple[str, str]],
                  track_state_cycles: bool, fast_forward: bool,
                  events: bool = True):
-        if not module.finalized:
-            raise ValueError(
-                f"module {module.name} must be finalized first")
+        super().__init__(module, elide, track_state_cycles, fast_forward)
         for c in module.counters.values():
             if c.width > _MAX_WIDTH:
                 raise ValueError(
@@ -166,53 +146,10 @@ class _BatchCompiler:
                 raise ValueError(
                     f"batch backend: register {r.name!r} is {r.width} bits "
                     f"wide; int64 columns support at most {_MAX_WIDTH}")
-        self.m = module
-        self.elide = elide
-        self.track = track_state_cycles
-        self.fast_forward = fast_forward
         self.events = events
-        self.deps = _DepAnalysis(module)
-
-        names = _Names()
-        # Scalar slot order mirrors Simulation.reset() (minus memories).
-        self.scalar_names: List[str] = (
-            [p.name for p in module.ports.values()]
-            + [r.name for r in module.regs.values()]
-            + [c.name for c in module.counters.values()]
-            + [f.state_signal for f in module.fsms.values()]
-            + [b.output for b in module.datapath_blocks]
-            + [f.dynbusy_signal for f in module.fsms.values()
-               if f.dynamic_waits]
-        )
-        self.scalar_local = {
-            name: names.make("v_", name) for name in self.scalar_names
-        }
-        self.mem_names = list(module.memories)
-        self.mem_local = {
-            name: names.make("m_", name) for name in self.mem_names
-        }
         self.mem_len_local = {
-            name: names.make("ml_", name) for name in self.mem_names
+            name: self.names.make("ml_", name) for name in self.mem_names
         }
-        self.wire_local = {
-            name: names.make("w_", name) for name in module.wire_order
-        }
-        self.fsms: List[Fsm] = list(module.fsms.values())
-        self.dyn_fsms = [f for f in self.fsms if f.dynamic_waits]
-        self.down = [c for c in module.counters.values() if c.mode == "down"]
-        self.up = [c for c in module.counters.values() if c.mode == "up"]
-        self.cn = {c.name: names.make("cn_", c.name)
-                   for c in self.down + self.up}
-        self.ch = {c.name: names.make("ch_", c.name)
-                   for c in self.down + self.up}
-        self.zu = {c.name: names.make("zu_", c.name) for c in self.up}
-        written = {u.reg for u in module.updates}
-        for fsm in self.fsms:
-            for t in fsm.transitions:
-                for reg, _value in t.actions:
-                    written.add(reg)
-        self.pending_regs = [r for r in module.regs if r in written]
-        self.p_local = {r: names.make("p_", r) for r in self.pending_regs}
 
         # Event column layout: per-arc fired counts, then per-counter
         # load/reset counts and value sums.  One int64 column each.
@@ -240,8 +177,6 @@ class _BatchCompiler:
             self.ev_slot[("reset_sum", c.name)] = len(self.event_layout)
             self.event_layout.append(("reset_sum", c.name))
 
-        self._lines: List[str] = []
-        self._indent = 1
         #: Rendered-expression string -> temp local holding its value.
         #: Valid because every rendered expression reads only pre-cycle
         #: state: value columns are mutated in place only by the skip
@@ -250,18 +185,6 @@ class _BatchCompiler:
         self._cse: Dict[str, str] = {}
 
     # -- emission helpers ----------------------------------------------
-    def w(self, line: str = "") -> None:
-        """Append one indented source line."""
-        self._lines.append("    " * self._indent + line if line else "")
-
-    def push(self) -> None:
-        """Increase indentation."""
-        self._indent += 1
-
-    def pop(self) -> None:
-        """Decrease indentation."""
-        self._indent -= 1
-
     def cse(self, expr_str: str) -> str:
         """Emit ``expr_str`` into a temp once; reuse it on repeats.
 
@@ -280,21 +203,8 @@ class _BatchCompiler:
         return f"ev_{self.ev_slot[key]}"
 
     # -- expression rendering ------------------------------------------
-    def ref(self, name: str) -> str:
-        """The local holding a named signal's column."""
-        local = self.scalar_local.get(name)
-        if local is not None:
-            return local
-        local = self.wire_local.get(name)
-        if local is not None:
-            return local
-        raise KeyError(f"batchsim: unknown signal {name!r} in {self.m.name}")
-
     def _is_boolish(self, expr: Expr) -> bool:
         """True when ``expr`` can only evaluate to 0 or 1."""
-        original = getattr(expr, "original", None)
-        if original is not None:
-            return self._is_boolish(original)
         if isinstance(expr, Const):
             return expr.value in (0, 1)
         if isinstance(expr, Sig):
@@ -325,9 +235,6 @@ class _BatchCompiler:
         arc-indicator wires then share their state-compare masks with
         arc selection instead of recomputing them in the int domain.
         """
-        original = getattr(expr, "original", None)
-        if original is not None:  # CompiledExpr wrapper: use the tree
-            return self.render(original)
         if isinstance(expr, Const):
             return repr(expr.value)
         if isinstance(expr, Sig):
@@ -377,9 +284,6 @@ class _BatchCompiler:
         """
         if expr is None:
             return "True"
-        original = getattr(expr, "original", None)
-        if original is not None:
-            return self.cond(original)
         if isinstance(expr, Const):
             return "True" if expr.value else "False"
         if isinstance(expr, Sig):
@@ -402,31 +306,6 @@ class _BatchCompiler:
             if expr.op == "bool":
                 return self.cond(expr.a)
         return self.cse(f"_truth({self.render(expr)})")
-
-    # -- veto tables ----------------------------------------------------
-    def veto_terms(self, pair) -> List[str]:
-        """Mask locals that, where set, veto a fast-forward jump."""
-        unstable, zerocmp = pair
-        terms = []
-        for name in sorted(unstable):
-            flag = self.ch.get(name)
-            if flag is not None:
-                terms.append(flag)
-        for name in sorted(zerocmp):
-            # Zero-compares are stable except on an up counter leaving 0.
-            flag = self.zu.get(name)
-            if flag is not None:
-                terms.append(flag)
-        return terms
-
-    def arc_veto_terms(self, fsm: Fsm, state: str) -> List[str]:
-        """Veto masks for the arcs out of one state."""
-        terms: List[str] = []
-        for t in fsm.transitions_from(state):
-            for term in self.veto_terms(self.deps.analyze(t.cond)):
-                if term not in terms:
-                    terms.append(term)
-        return terms
 
     # -- program assembly -----------------------------------------------
     def source(self) -> str:

@@ -1,7 +1,6 @@
 """Whole-module step compiler: a generated-code simulation backend.
 
-Where :mod:`repro.rtl.compiled` compiles each *expression* to its own
-lambda (per-tree dispatch stays in the interpreter), this module
+Where the interpreter walks expression trees node by node, this module
 compiles the entire two-phase cycle of a :class:`Module` into one
 specialized Python function:
 
@@ -18,11 +17,14 @@ specialized Python function:
 * listener callbacks are compiled in only when a listener is attached,
   so the common (unlistened) kernel pays nothing for instrumentation.
 
+The slot layout, line emitter and veto tables come from the front-end
+in :mod:`repro.rtl.lowering`, shared with the lockstep batch kernel.
+
 Programs are cached per module (weakly) and per variant (elide set,
 state-cycle tracking, listener presence, fast-forward), and are
-pickle-safe the same way :class:`CompiledExpr` is: ``__reduce__``
-pickles the source module plus the variant options and regenerates the
-code on load, so steppers cross process pools and the artifact cache.
+pickle-safe: ``__reduce__`` pickles the source module plus the variant
+options and regenerates the code on load, so steppers cross process
+pools and the artifact cache.
 
 The generated stepper is cycle-exact against the interpreter — the
 differential fuzz suite and the golden gate (``repro check
@@ -31,135 +33,39 @@ differential fuzz suite and the golden gate (``repro check
 
 from __future__ import annotations
 
-import keyword
 import re
 from time import perf_counter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from ..obs import get_observer
-from .counter import Counter
 from .expr import _CMPOPS, _PYOPS, BinOp, Const, Expr, MemRead, Mux, Sig, UnOp
-from .fsm import Fsm
+from .lowering import _MEM_PREFIX, _KernelCompiler
 from .module import Module
-from .simulator import (
-    RunResult,
-    Simulation,
-    _DepAnalysis,
-    record_sim_run,
-)
+from .simulator import RunResult, Simulation, record_sim_run
 
-_MEM_PREFIX = "__mem__"
 _SIMPLE_ATOM = re.compile(r"(?:[A-Za-z_]\w*|\d+)\Z")
 
 
-class _Names:
-    """Collision-free Python identifiers for generated locals."""
+class _StepCompiler(_KernelCompiler):
+    """Emits the specialized ``_step`` function for one module variant."""
 
-    _RESERVED = frozenset(keyword.kwlist) | {
+    RESERVED = frozenset({
         "S", "MEMS", "DYN", "SC", "cycle", "max_cycles", "listener",
         "finished", "len", "min", "max", "None", "True", "False",
         "_j", "_r", "_t", "_d", "_i", "_ffj", "_wc", "_oc",
         "_lt", "_lcl", "_lcr", "_step",
-    }
-
-    def __init__(self) -> None:
-        self._used = set(self._RESERVED)
-
-    def make(self, prefix: str, name: str) -> str:
-        base = prefix + re.sub(r"\W", "_", name)
-        candidate = base
-        serial = 1
-        while candidate in self._used:
-            serial += 1
-            candidate = f"{base}_{serial}"
-        self._used.add(candidate)
-        return candidate
-
-
-class _StepCompiler:
-    """Emits the specialized ``_step`` function for one module variant."""
+    })
+    TAG = "stepjit"
 
     def __init__(self, module: Module, elide: FrozenSet[Tuple[str, str]],
                  track_state_cycles: bool, has_listener: bool,
                  fast_forward: bool):
-        if not module.finalized:
-            raise ValueError(
-                f"module {module.name} must be finalized first")
-        self.m = module
-        self.elide = elide
-        self.track = track_state_cycles
+        super().__init__(module, elide, track_state_cycles, fast_forward)
         self.has_listener = has_listener
-        self.fast_forward = fast_forward
-        self.deps = _DepAnalysis(module)
-
-        names = _Names()
-        # Scalar slot order mirrors Simulation.reset() (minus memories).
-        self.scalar_names: List[str] = (
-            [p.name for p in module.ports.values()]
-            + [r.name for r in module.regs.values()]
-            + [c.name for c in module.counters.values()]
-            + [f.state_signal for f in module.fsms.values()]
-            + [b.output for b in module.datapath_blocks]
-            + [f.dynbusy_signal for f in module.fsms.values()
-               if f.dynamic_waits]
-        )
-        self.scalar_local = {
-            name: names.make("v_", name) for name in self.scalar_names
-        }
-        self.mem_names = list(module.memories)
-        self.mem_local = {
-            name: names.make("m_", name) for name in self.mem_names
-        }
-        self.wire_local = {
-            name: names.make("w_", name) for name in module.wire_order
-        }
-        self.fsms: List[Fsm] = list(module.fsms.values())
-        self.dyn_fsms = [f for f in self.fsms if f.dynamic_waits]
-        self.down = [c for c in module.counters.values() if c.mode == "down"]
-        self.up = [c for c in module.counters.values() if c.mode == "up"]
-        self.cn = {c.name: names.make("cn_", c.name)
-                   for c in self.down + self.up}
-        self.ch = {c.name: names.make("ch_", c.name)
-                   for c in self.down + self.up}
-        self.zu = {c.name: names.make("zu_", c.name) for c in self.up}
-        written = {u.reg for u in module.updates}
-        for fsm in self.fsms:
-            for t in fsm.transitions:
-                for reg, _value in t.actions:
-                    written.add(reg)
-        self.pending_regs = [r for r in module.regs if r in written]
-        self.p_local = {r: names.make("p_", r) for r in self.pending_regs}
-
-        self._lines: List[str] = []
-        self._indent = 1
-
-    # -- emission helpers ----------------------------------------------
-    def w(self, line: str = "") -> None:
-        self._lines.append("    " * self._indent + line if line else "")
-
-    def push(self) -> None:
-        self._indent += 1
-
-    def pop(self) -> None:
-        self._indent -= 1
 
     # -- expression rendering ------------------------------------------
-    def ref(self, name: str) -> str:
-        local = self.scalar_local.get(name)
-        if local is not None:
-            return local
-        local = self.wire_local.get(name)
-        if local is not None:
-            return local
-        if name.startswith(_MEM_PREFIX):
-            return self.mem_local[name[len(_MEM_PREFIX):]]
-        raise KeyError(f"stepjit: unknown signal {name!r} in {self.m.name}")
-
     def render(self, expr: Expr) -> str:
-        original = getattr(expr, "original", None)
-        if original is not None:  # CompiledExpr wrapper: use the tree
-            return self.render(original)
         if isinstance(expr, Const):
             return repr(expr.value)
         if isinstance(expr, Sig):
@@ -205,9 +111,6 @@ class _StepCompiler:
         """Render for a boolean context (integer truthiness)."""
         if expr is None:
             return "1"
-        original = getattr(expr, "original", None)
-        if original is not None:
-            return self.cond(original)
         if isinstance(expr, BinOp) and expr.op in _CMPOPS:
             a = self.render(expr.a)
             b = self.render(expr.b)
@@ -218,30 +121,6 @@ class _StepCompiler:
             if expr.op == "bool":
                 return self.cond(expr.a)
         return self.render(expr)
-
-    # -- veto tables ----------------------------------------------------
-    def veto_terms(self, pair) -> List[str]:
-        """Boolean locals that, when set, veto a fast-forward jump."""
-        unstable, zerocmp = pair
-        terms = []
-        for name in sorted(unstable):
-            flag = self.ch.get(name)
-            if flag is not None:
-                terms.append(flag)
-        for name in sorted(zerocmp):
-            # Zero-compares are stable except on an up counter leaving 0.
-            flag = self.zu.get(name)
-            if flag is not None:
-                terms.append(flag)
-        return terms
-
-    def arc_veto_terms(self, fsm: Fsm, state: str) -> List[str]:
-        terms: List[str] = []
-        for t in fsm.transitions_from(state):
-            for term in self.veto_terms(self.deps.analyze(t.cond)):
-                if term not in terms:
-                    terms.append(term)
-        return terms
 
     # -- program assembly -----------------------------------------------
     def source(self) -> str:
@@ -725,7 +604,7 @@ class StepProgram:
     Holds the generated source (for inspection/tests) and the compiled
     function, plus the slot layout the :class:`StepSimulation` uses to
     pack and unpack architectural state.  Pickles as (module, options)
-    and regenerates its code on load, exactly like ``CompiledExpr``.
+    and regenerates its code on load.
     """
 
     def __init__(self, module: Module,
@@ -768,7 +647,7 @@ class StepProgram:
         # The generated function is unpicklable; it is a pure function
         # of (module, options), so regenerate on load — this is what
         # lets steppers ride through pool workers and the artifact
-        # cache the way CompiledExpr does.
+        # cache.
         return (StepProgram, (self.module, tuple(sorted(self.elide)),
                               self.track_state_cycles, self.has_listener,
                               self.fast_forward))

@@ -16,7 +16,6 @@ from repro.rtl import (
     BatchScalarSimulation,
     Simulation,
     compile_batch_stepper,
-    compile_module,
     compile_stepper,
     errors_only,
     lint_module,
@@ -50,9 +49,8 @@ def test_sampled_designs_export_verilog(seed, complexity):
 @settings(max_examples=25, deadline=None)
 @given(seed=seed_strategy, complexity=complexity_strategy)
 def test_sampled_designs_compile_on_every_backend(seed, complexity):
-    """compiled / stepjit / batch codegen all accept every sample."""
+    """stepjit and batch codegen both accept every sample."""
     module = sample_design(seed, complexity).build()
-    compile_module(module)
     compile_stepper(module)
     compile_batch_stepper(module)
 

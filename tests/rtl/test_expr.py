@@ -1,8 +1,9 @@
 """Unit tests for the expression AST."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.rtl import BACKENDS, Module, make_simulation
 from repro.rtl.expr import (
     BinOp,
     Const,
@@ -14,7 +15,6 @@ from repro.rtl.expr import (
     any_of,
     maximum,
     minimum,
-    to_python,
     walk,
     wrap,
 )
@@ -120,38 +120,72 @@ def test_walk_visits_every_node():
     assert kinds.count("Const") == 2
 
 
+#: One expression per operator, over ports ``a``/``b``/``s`` and memory ``m``.
+OPS = [
+    Sig("a") + Sig("b"),
+    Sig("a") - Sig("b"),
+    Sig("a") * Sig("b"),
+    BinOp("div", Sig("a"), Sig("b")),
+    BinOp("mod", Sig("a"), Sig("b")),
+    Sig("a") & Sig("b"),
+    Sig("a") | Sig("b"),
+    Sig("a") ^ Sig("b"),
+    Sig("a") >> 3,
+    Sig("a") << 2,
+    Sig("a") == Sig("b"),
+    Sig("a") != Sig("b"),
+    Sig("a") < Sig("b"),
+    Sig("a") <= Sig("b"),
+    Sig("a") > Sig("b"),
+    Sig("a") >= Sig("b"),
+    minimum(Sig("a"), Sig("b")),
+    maximum(Sig("a"), Sig("b")),
+    Mux(Sig("s"), Sig("a"), Sig("b")),
+    UnOp("not", Sig("s")),
+    UnOp("bool", Sig("a")),
+    MemRead("m", BinOp("mod", Sig("a"), Const(2))),
+]
+
+
+def _op_table_module() -> Module:
+    """One cycle of work: ``r<i>`` latches op ``i`` through wire
+    ``w<i>`` (a value context); ``h<i>`` latches 1 when op ``i`` holds
+    as an update guard (a boolean context)."""
+    m = Module("op_table")
+    for port in ("a", "b", "s"):
+        m.port(port, 32)
+    m.memory("m", depth=2, width=32)
+    m.reg("t", 1)
+    m.update("t", 1)
+    for i, expr in enumerate(OPS):
+        m.reg(f"r{i}", 62)
+        m.reg(f"h{i}", 1)
+        m.update(f"r{i}", m.wire(f"w{i}", expr))
+        m.update(f"h{i}", 1, cond=expr)
+    m.set_done(Sig("t") == 1)
+    return m.finalize()
+
+
+_OP_TABLE_MODULE = _op_table_module()
+
+
+@settings(deadline=None)
 @given(
     a=st.integers(min_value=0, max_value=1 << 16),
     b=st.integers(min_value=0, max_value=1 << 16),
     s=st.booleans(),
 )
-def test_to_python_matches_eval(a, b, s):
-    """The compiled rendering agrees with the interpreter on all ops."""
+def test_every_op_renders_like_eval_on_every_backend(a, b, s):
+    """Each backend's renderer agrees with ``Expr.eval`` on every op,
+    in a value context (the register) and a boolean one (the guard)."""
     env = {"a": a, "b": b, "s": int(s), "__mem__m": [a, b]}
-    exprs = [
-        Sig("a") + Sig("b"),
-        Sig("a") - Sig("b"),
-        Sig("a") * Sig("b"),
-        BinOp("div", Sig("a"), Sig("b")),
-        BinOp("mod", Sig("a"), Sig("b")),
-        Sig("a") & Sig("b"),
-        Sig("a") | Sig("b"),
-        Sig("a") ^ Sig("b"),
-        Sig("a") >> 3,
-        Sig("a") << 2,
-        Sig("a") == Sig("b"),
-        Sig("a") != Sig("b"),
-        Sig("a") < Sig("b"),
-        Sig("a") <= Sig("b"),
-        Sig("a") > Sig("b"),
-        Sig("a") >= Sig("b"),
-        minimum(Sig("a"), Sig("b")),
-        maximum(Sig("a"), Sig("b")),
-        Mux(Sig("s"), Sig("a"), Sig("b")),
-        UnOp("not", Sig("s")),
-        UnOp("bool", Sig("a")),
-        MemRead("m", BinOp("mod", Sig("a"), Const(2))),
-    ]
-    for expr in exprs:
-        compiled = eval(to_python(expr), {}, {"env": env})
-        assert compiled == expr.eval(env), to_python(expr)
+    mask = (1 << 62) - 1
+    for backend in BACKENDS:
+        sim = make_simulation(_OP_TABLE_MODULE, backend=backend)
+        sim.load(inputs={"a": a, "b": b, "s": int(s)},
+                 memories={"m": [a, b]})
+        assert sim.run(max_cycles=10).cycles == 1
+        for i, expr in enumerate(OPS):
+            want = expr.eval(env)
+            assert sim.state[f"r{i}"] == want & mask, (backend, expr)
+            assert sim.state[f"h{i}"] == int(bool(want)), (backend, expr)

@@ -7,6 +7,7 @@ import pytest
 from repro.accelerators import get_design
 from repro.obs import session
 from repro.rtl import (
+    BatchScalarSimulation,
     Module,
     Simulation,
     StepSimulation,
@@ -167,14 +168,20 @@ def test_backend_resolution_precedence(monkeypatch):
     assert resolve_backend() == "stepjit"
     monkeypatch.setenv("REPRO_BACKEND", "interp")
     assert resolve_backend() == "interp"
-    set_default_backend("compiled")
+    set_default_backend("batch")
     try:
-        assert resolve_backend() == "compiled"
+        assert resolve_backend() == "batch"
         assert resolve_backend("interp") == "interp"
     finally:
         set_default_backend(None)
     with pytest.raises(ValueError, match="unknown simulation backend"):
         resolve_backend("verilator")
+
+
+def test_removed_compiled_backend_is_unknown():
+    with pytest.raises(ValueError, match="expected one of "
+                       "interp, stepjit, batch$"):
+        resolve_backend('compiled')
 
 
 def test_make_simulation_picks_the_backend():
@@ -184,8 +191,6 @@ def test_make_simulation_picks_the_backend():
     sim = make_simulation(module, backend="interp")
     assert type(sim) is Simulation
     assert sim.module is module
-    sim = make_simulation(module, backend="compiled")
-    assert type(sim) is Simulation
-    assert sim.module is not module  # the compiled clone
-    # The clone is cached: a second compiled sim reuses it.
-    assert make_simulation(module, backend="compiled").module is sim.module
+    sim = make_simulation(module, backend="batch")
+    assert isinstance(sim, BatchScalarSimulation)
+    assert sim.module is module
