@@ -16,7 +16,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.features import FeatureMatrix
-from .training import TrainingConfig, fit_predictor
+from ..obs import get_observer
+from .training import (
+    TrainedModel,
+    TrainingConfig,
+    _assemble,
+    _refit,
+    _refit_support,
+    _select,
+)
 
 
 @dataclass(frozen=True)
@@ -48,18 +56,15 @@ def _split(matrix: FeatureMatrix, val_fraction: float,
     return train, matrix.x[val_idx], matrix.cycles[val_idx]
 
 
-def _fit_path_point(train: FeatureMatrix, x_val: np.ndarray,
-                    y_val: np.ndarray, alpha: float,
-                    gamma: float) -> PathPoint:
-    # One gamma point: fit on the train split, score on the held-out
-    # split.  Module-level so the path can fan out over pool workers.
-    config = TrainingConfig(alpha=alpha, gamma=gamma)
-    model = fit_predictor(train, config)
+def _score(model: TrainedModel, x_val: np.ndarray,
+           y_val: np.ndarray) -> PathPoint:
+    # One gamma point: the train-split model scored on the held-out
+    # split.
     pred = model.predictor.predict(x_val)
     with np.errstate(divide="ignore", invalid="ignore"):
         pct = np.abs(pred - y_val) / np.maximum(y_val, 1e-12) * 100.0
     return PathPoint(
-        gamma=gamma,
+        gamma=model.gamma,
         n_features=model.n_selected_features,
         val_error=float(np.mean(pct)),
     )
@@ -72,16 +77,39 @@ def lasso_path(matrix: FeatureMatrix, alpha: float = 8.0,
                workers: Optional[int] = None) -> List[PathPoint]:
     """Fit at every gamma; report sparsity and held-out error.
 
-    Gamma points are independent fits over the same split, so
-    ``workers > 1`` distributes them over a process pool
-    (``workers=None`` follows the ambient ``--jobs``/``REPRO_JOBS``
-    setting); the returned path is identical to a serial run.
+    Each point is exactly ``fit_predictor`` on the train split, run in
+    phases: every gamma's Lasso solve, then one refit per *distinct*
+    selected support (neighbouring gammas often select the same
+    columns, and a refit depends on its support alone), then each
+    point's model is assembled and scored.  The Lasso solves and the
+    refits are independent, so ``workers > 1`` distributes each phase
+    over a process pool (``workers=None`` follows the ambient
+    ``--jobs``/``REPRO_JOBS`` setting); the returned path is identical
+    to a serial run.  Under an observer, ``model.fit.refits_reused``
+    counts the refits the dedupe saved.
     """
     from ..parallel import pmap
 
     train, x_val, y_val = _split(matrix, val_fraction, seed)
-    fn = functools.partial(_fit_path_point, train, x_val, y_val, alpha)
-    return pmap(fn, list(gammas), jobs=workers, label="lasso_path.pmap")
+    configs = [TrainingConfig(alpha=alpha, gamma=g) for g in gammas]
+    lassos = pmap(functools.partial(_select, train), configs,
+                  jobs=workers, label="lasso_path.pmap")
+    supports = [_refit_support(c, lasso)
+                for c, lasso in zip(configs, lassos)]
+    distinct = list(dict.fromkeys(s for s in supports if s))
+    refits = dict(zip(distinct, pmap(
+        functools.partial(_refit, train, TrainingConfig(alpha=alpha)),
+        distinct, jobs=workers, label="lasso_path.refit")))
+
+    observer = get_observer()
+    if observer is not None:
+        observer.metrics.inc("model.fit.refits_reused",
+                             sum(1 for s in supports if s) - len(distinct))
+    return [
+        _score(_assemble(train, config, lasso, support,
+                         refits.get(support)), x_val, y_val)
+        for config, lasso, support in zip(configs, lassos, supports)
+    ]
 
 
 def select_gamma(matrix: FeatureMatrix, alpha: float = 8.0,

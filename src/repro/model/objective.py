@@ -17,7 +17,7 @@ loss; the L1 term is handled by the proximal step of the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -60,21 +60,25 @@ class AsymmetricLassoObjective:
         """1 for over-predictions, alpha for under-predictions."""
         return np.where(residuals >= 0.0, 1.0, self.alpha)
 
+    def weighted_residuals(self, beta: np.ndarray
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(r, w * r)`` for ``r = X beta - y``: the one matrix product
+        both the smooth loss and its gradient are built from."""
+        r = self.x @ beta - self.y
+        return r, self.residual_weights(r) * r
+
     def smooth_value(self, beta: np.ndarray) -> float:
         """The asymmetric squared loss (without the L1 term)."""
-        r = self.x @ beta - self.y
-        w = self.residual_weights(r)
-        return float(np.sum(w * r * r))
+        r, wr = self.weighted_residuals(beta)
+        return float((wr * r).sum())
 
     def smooth_grad(self, beta: np.ndarray) -> np.ndarray:
         """Gradient of the asymmetric squared loss."""
-        r = self.x @ beta - self.y
-        w = self.residual_weights(r)
-        return 2.0 * (self.x.T @ (w * r))
+        return 2.0 * (self.x.T @ self.weighted_residuals(beta)[1])
 
     def l1_value(self, beta: np.ndarray) -> float:
         """The gamma-weighted L1 penalty of the coefficients."""
-        return float(self.gamma * np.sum(np.abs(beta[self.penalize])))
+        return float(self.gamma * np.abs(beta[self.penalize]).sum())
 
     def value(self, beta: np.ndarray) -> float:
         """The full objective: smooth loss plus L1 penalty."""
@@ -95,11 +99,13 @@ class AsymmetricLassoObjective:
         """Soft-threshold the penalized coefficients."""
         if self.gamma == 0.0:
             return beta
-        threshold = self.gamma * step
-        out = beta.copy()
-        p = self.penalize
-        out[p] = np.sign(beta[p]) * np.maximum(np.abs(beta[p]) - threshold,
-                                               0.0)
+        # Threshold the whole vector, then restore the unpenalized
+        # entries: the ops are elementwise, so each penalized entry is
+        # exactly what thresholding it alone gives.
+        out = np.sign(beta) * np.maximum(np.abs(beta) - self.gamma * step,
+                                         0.0)
+        free = ~self.penalize
+        out[free] = beta[free]
         return out
 
 

@@ -9,6 +9,7 @@ asymmetric loss plus the non-smooth L1 term exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,33 +42,44 @@ def solve(objective: AsymmetricLassoObjective,
     momentum = beta.copy()
     t = 1.0
     step = 1.0 / objective.lipschitz()
+    residuals = objective.weighted_residuals
+    prox = objective.prox
+    l1 = objective.l1_value
+    x_t = objective.x.T
 
     value = objective.value(beta)
     for iteration in range(1, max_iter + 1):
-        grad = objective.smooth_grad(momentum)
-        candidate = objective.prox(momentum - step * grad, step)
+        # One residual per point: the smooth value and the gradient at
+        # `momentum` share it, and so do the backtracking check and the
+        # new objective value at the accepted candidate.
+        r, wr = residuals(momentum)
+        grad = 2.0 * (x_t @ wr)
+        smooth_mom = float((wr * r).sum())
+        candidate = prox(momentum - step * grad, step)
 
         # Backtracking: the quadratic upper bound at `momentum` must
         # majorize the smooth loss at the candidate.
-        smooth_mom = objective.smooth_value(momentum)
         for _ in range(60):
             diff = candidate - momentum
             bound = (smooth_mom + float(grad @ diff)
                      + float(diff @ diff) / (2.0 * step))
-            if objective.smooth_value(candidate) <= bound + 1e-12:
+            r, wr = residuals(candidate)
+            smooth_cand = float((wr * r).sum())
+            if smooth_cand <= bound + 1e-12:
                 break
             step *= 0.5
-            candidate = objective.prox(momentum - step * grad, step)
-
-        new_value = objective.value(candidate)
+            candidate = prox(momentum - step * grad, step)
+        else:  # 60 halvings: the last candidate is still unscored
+            smooth_cand = objective.smooth_value(candidate)
+        new_value = smooth_cand + l1(candidate)
         if new_value > value:  # adaptive restart: drop momentum
             momentum = beta.copy()
             t = 1.0
             grad = objective.smooth_grad(momentum)
-            candidate = objective.prox(momentum - step * grad, step)
+            candidate = prox(momentum - step * grad, step)
             new_value = objective.value(candidate)
 
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         momentum = candidate + ((t - 1.0) / t_next) * (candidate - beta)
         improvement = value - new_value
         beta = candidate

@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..analysis.features import FeatureMatrix
+from ..obs import get_observer
 from .linear import LinearPredictor
 from .objective import make_objective
 from .solver import SolveResult, solve
@@ -87,29 +88,62 @@ def fit_predictor(matrix: FeatureMatrix,
     """Train the execution-time predictor on a feature matrix."""
     if matrix.n_jobs < 2:
         raise ValueError("need at least two training jobs")
+    lasso = _select(matrix, config)
+    support = _refit_support(config, lasso)
+    refit = _refit(matrix, config, support) if support else None
+    return _assemble(matrix, config, lasso, support, refit)
+
+
+#: A standardized-space solve: (beta, intercept, standardizer, y scale,
+#: solver result).
+_Solved = Tuple[np.ndarray, float, Standardizer, float, SolveResult]
+
+
+def _select(matrix: FeatureMatrix, config: TrainingConfig) -> _Solved:
+    """The Lasso stage: the L1-penalized fit over every feature."""
     gamma = config.gamma if config.gamma is not None else 0.0
-    beta_std, intercept_std, std, y_scale, info = _solve_standardized(
+    return _solve_standardized(
         matrix.x, matrix.cycles, config.alpha,
         gamma * matrix.n_jobs, config.max_iter, config.tol,
     )
 
-    if config.refit:
-        selected = _nonzero(beta_std)
-        if selected:
-            refit_x = matrix.x[:, selected]
-            rb, rb0, rstd, ry, rinfo = _solve_standardized(
-                refit_x, matrix.cycles, config.alpha, 0.0,
-                config.max_iter, config.tol,
-            )
-            beta_std = np.zeros_like(beta_std)
-            beta_std[selected] = rb
-            # Rebuild a full-width standardizer view for the mapping.
-            full_mean = np.zeros(matrix.n_features)
-            full_scale = np.ones(matrix.n_features)
-            full_mean[selected] = rstd.mean
-            full_scale[selected] = rstd.scale
-            std = Standardizer(full_mean, full_scale)
-            intercept_std, y_scale, info = rb0, ry, rinfo
+
+def _refit_support(config: TrainingConfig,
+                   lasso: _Solved) -> Tuple[int, ...]:
+    """The columns the refit stage solves on (empty: no refit)."""
+    return tuple(_nonzero(lasso[0])) if config.refit else ()
+
+
+def _refit(matrix: FeatureMatrix, config: TrainingConfig,
+           support: Tuple[int, ...]) -> _Solved:
+    """The refit stage: the selected columns with the L1 term dropped.
+
+    Depends on ``config`` only through ``alpha``, ``max_iter`` and
+    ``tol``, so one refit serves every gamma that selects ``support``.
+    """
+    return _solve_standardized(
+        matrix.x[:, list(support)], matrix.cycles, config.alpha, 0.0,
+        config.max_iter, config.tol,
+    )
+
+
+def _assemble(matrix: FeatureMatrix, config: TrainingConfig,
+              lasso: _Solved, support: Tuple[int, ...],
+              refit: Optional[_Solved]) -> TrainedModel:
+    """Map the final solve back to raw feature space."""
+    beta_std, intercept_std, std, y_scale, info = lasso
+    if refit is not None:
+        rb, rb0, rstd, ry, rinfo = refit
+        selected = list(support)
+        beta_std = np.zeros_like(beta_std)
+        beta_std[selected] = rb
+        # Rebuild a full-width standardizer view for the mapping.
+        full_mean = np.zeros(matrix.n_features)
+        full_scale = np.ones(matrix.n_features)
+        full_mean[selected] = rstd.mean
+        full_scale[selected] = rstd.scale
+        std = Standardizer(full_mean, full_scale)
+        intercept_std, y_scale, info = rb0, ry, rinfo
 
     coeffs = beta_std / std.scale * y_scale
     intercept = (intercept_std - float(beta_std @ (std.mean / std.scale))
@@ -121,7 +155,7 @@ def fit_predictor(matrix: FeatureMatrix,
     )
     return TrainedModel(
         predictor=predictor,
-        gamma=gamma,
+        gamma=config.gamma if config.gamma is not None else 0.0,
         alpha=config.alpha,
         solve_info=info,
         n_candidate_features=matrix.n_features,
@@ -130,9 +164,14 @@ def fit_predictor(matrix: FeatureMatrix,
 
 def _solve_standardized(x: np.ndarray, y: np.ndarray, alpha: float,
                         gamma: float, max_iter: int, tol: float
-                        ) -> Tuple[np.ndarray, float, Standardizer, float,
-                                   SolveResult]:
-    """Solve in standardized space; returns (beta, intercept, ...)."""
+                        ) -> _Solved:
+    """Solve in standardized space; returns (beta, intercept, ...).
+
+    Under an observer every solve counts in ``model.fit.solves`` and
+    ``model.fit.iterations``; one that stops at ``max_iter`` also
+    counts in ``model.fit.capped`` and emits a ``fit.capped`` event
+    (``gamma`` is the objective's L1 weight, ``p`` the feature count).
+    """
     std = Standardizer.fit(x)
     xs = std.transform(x)
     y_scale = float(np.mean(np.abs(y)))
@@ -143,6 +182,14 @@ def _solve_standardized(x: np.ndarray, y: np.ndarray, alpha: float,
     objective = make_objective(design, ys, alpha=alpha, gamma=gamma,
                                intercept_col=design.shape[1] - 1)
     info = solve(objective, max_iter=max_iter, tol=tol)
+    observer = get_observer()
+    if observer is not None:
+        observer.metrics.inc("model.fit.solves")
+        observer.metrics.inc("model.fit.iterations", info.iterations)
+        if not info.converged:
+            observer.metrics.inc("model.fit.capped")
+            observer.emit("fit.capped", gamma=gamma, n=x.shape[0],
+                          p=x.shape[1], iterations=info.iterations)
     beta = info.beta[:-1]
     intercept = float(info.beta[-1])
     return beta, intercept, std, y_scale, info

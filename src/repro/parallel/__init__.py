@@ -1,8 +1,8 @@
 """Parallel execution and persistent artifact caching for the flow.
 
 Two cooperating layers turn the embarrassingly parallel offline flow
-(independent training jobs, independent Lasso gamma points, independent
-benchmark bundles) into wall-clock wins:
+(independent training jobs, independent Lasso solves and refits,
+independent benchmark bundles) into wall-clock wins:
 
 * :mod:`~repro.parallel.pool` — :func:`pmap`, an order-preserving
   process-pool map with chunking, a ``--jobs N`` / ``REPRO_JOBS`` knob

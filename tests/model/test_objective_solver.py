@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.model import make_objective, solve
+from repro.model import AsymmetricLassoObjective, make_objective, solve
 
 
 def random_problem(seed, n=40, p=5, alpha=4.0, gamma=0.0, noise=0.0):
@@ -131,3 +131,142 @@ def test_solver_reaches_reference_optimum():
     ref = scipy_opt.minimize(obj.smooth_value, np.zeros(4),
                              jac=obj.smooth_grad, method="L-BFGS-B")
     assert ours.value == pytest.approx(ref.fun, rel=1e-6, abs=1e-8)
+
+
+def _reference_solve(obj, beta0, max_iter, tol):
+    """FISTA exactly as first written: the smooth loss, its gradient
+    and the masked prox each recomputed from scratch at every use.
+    Returns ``(SolveResult fields, path counts)``: how often the
+    adaptive restart fired and the backtracking ran out of halvings."""
+    x, y, alpha, gamma, pen = obj.x, obj.y, obj.alpha, obj.gamma, \
+        obj.penalize
+
+    def smooth_value(b):
+        r = x @ b - y
+        w = np.where(r >= 0.0, 1.0, alpha)
+        return float(np.sum(w * r * r))
+
+    def smooth_grad(b):
+        r = x @ b - y
+        w = np.where(r >= 0.0, 1.0, alpha)
+        return 2.0 * (x.T @ (w * r))
+
+    def value(b):
+        return smooth_value(b) + float(gamma * np.sum(np.abs(b[pen])))
+
+    def prox(b, step):
+        if gamma == 0.0:
+            return b
+        out = b.copy()
+        out[pen] = np.sign(b[pen]) * np.maximum(np.abs(b[pen])
+                                                - gamma * step, 0.0)
+        return out
+
+    n = obj.n_coeffs
+    beta = np.zeros(n) if beta0 is None else np.asarray(beta0, float).copy()
+    momentum = beta.copy()
+    t = 1.0
+    step = 1.0 / obj.lipschitz()
+    counts = {"restarts": 0, "exhausted": 0}
+    current = value(beta)
+    for iteration in range(1, max_iter + 1):
+        grad = smooth_grad(momentum)
+        candidate = prox(momentum - step * grad, step)
+        smooth_mom = smooth_value(momentum)
+        for _ in range(60):
+            diff = candidate - momentum
+            bound = (smooth_mom + float(grad @ diff)
+                     + float(diff @ diff) / (2.0 * step))
+            if smooth_value(candidate) <= bound + 1e-12:
+                break
+            step *= 0.5
+            candidate = prox(momentum - step * grad, step)
+        else:
+            counts["exhausted"] += 1
+        new_value = value(candidate)
+        if new_value > current:
+            counts["restarts"] += 1
+            momentum = beta.copy()
+            t = 1.0
+            grad = smooth_grad(momentum)
+            candidate = prox(momentum - step * grad, step)
+            new_value = value(candidate)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        momentum = candidate + ((t - 1.0) / t_next) * (candidate - beta)
+        improvement = current - new_value
+        beta = candidate
+        current = new_value
+        t = t_next
+        if improvement >= 0 and improvement <= tol * max(abs(current), 1.0):
+            return (beta, current, iteration, True), counts
+    return (beta, current, max_iter, False), counts
+
+
+def test_solver_is_bit_identical_to_reference_fista():
+    """The solver shares one residual per point; every float it returns
+    must equal the recompute-everything reference's."""
+    seen = {"restarts": 0, "capped": 0, "converged": 0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        p=st.integers(1, 20),
+        alpha=st.sampled_from([1.0, 2.0, 8.0, 30.0]),
+        gamma=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]),
+        intercept=st.booleans(),
+        warm=st.booleans(),
+        max_iter=st.integers(1, 400),
+    )
+    def check(seed, n, p, alpha, gamma, intercept, warm, max_iter):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-1, 1, size=p)
+        if intercept:
+            x = np.hstack([x, np.ones((n, 1))])
+        y = rng.normal(size=n) * 10.0
+        obj = make_objective(x, y, alpha=alpha, gamma=gamma,
+                             intercept_col=x.shape[1] - 1 if intercept
+                             else None)
+        beta0 = rng.normal(size=x.shape[1]) if warm else None
+        (beta, value, iterations, converged), counts = _reference_solve(
+            obj, beta0, max_iter, 1e-9)
+        result = solve(obj, beta0=beta0, max_iter=max_iter, tol=1e-9)
+        assert np.array_equal(result.beta, beta)
+        assert result.value == value
+        assert result.iterations == iterations
+        assert result.converged == converged
+        seen["restarts"] += counts["restarts"]
+        seen["capped" if not converged else "converged"] += 1
+
+    check()
+    # The generated set drives both exits and the adaptive restart.
+    assert seen["restarts"] > 0
+    assert seen["capped"] > 0 and seen["converged"] > 0
+
+
+class _Overstepped(AsymmetricLassoObjective):
+    """A Lipschitz bound far too small: the first steps overshoot by
+    more than 60 halvings can repair."""
+
+    def lipschitz(self) -> float:
+        return 1e-25
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exhausted_backtracking_matches_reference(seed):
+    # After 60 failed halvings the last candidate was never scored; the
+    # solver scores it then, as the reference does.  (The overshoot
+    # also triggers the restart, which re-scores the candidate anyway.)
+    rng = np.random.default_rng(seed)
+    x = np.hstack([rng.normal(size=(30, 4)), np.ones((30, 1))])
+    y = rng.normal(size=30) * 10.0
+    base = make_objective(x, y, alpha=8.0, gamma=0.1, intercept_col=4)
+    obj = _Overstepped(x=base.x, y=base.y, alpha=base.alpha,
+                       gamma=base.gamma, penalize=base.penalize)
+    (beta, value, iterations, converged), counts = _reference_solve(
+        obj, None, 50, 1e-9)
+    result = solve(obj, max_iter=50, tol=1e-9)
+    assert counts["exhausted"] > 0 and np.isfinite(value)
+    assert np.array_equal(result.beta, beta)
+    assert result.value == value
+    assert (result.iterations, result.converged) == (iterations, converged)

@@ -7,6 +7,7 @@ from repro.analysis import FeatureMatrix, FeatureSet, FeatureSpec
 from repro.model import (
     BoxStats,
     LinearPredictor,
+    PathPoint,
     PredictionReport,
     TrainingConfig,
     fit_predictor,
@@ -15,6 +16,7 @@ from repro.model import (
     select_gamma,
     worst_case_error_pct,
 )
+from repro.model.lasso import DEFAULT_GAMMAS
 
 
 def synthetic_matrix(seed=0, n=200, relevant=3, junk=5, noise=0.0):
@@ -111,6 +113,70 @@ def test_select_gamma_prefers_sparse_models():
     assert chosen.val_error <= best_err + 0.5
     assert chosen.n_features <= min(
         p.n_features for p in points if p.val_error <= best_err + 0.5)
+
+
+def _counting_solves(monkeypatch):
+    from repro.model import training
+
+    calls = []
+    real = training.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "solve", counted)
+    return calls
+
+
+def test_lasso_path_refits_each_distinct_support_once(monkeypatch):
+    from repro.model.lasso import _split
+
+    matrix, _ = synthetic_matrix(seed=7, noise=100.0)
+    train, x_val, y_val = _split(matrix, 0.25, 0)
+    reference, supports = [], []
+    for gamma in DEFAULT_GAMMAS:
+        model = fit_predictor(train, TrainingConfig(alpha=4.0, gamma=gamma))
+        pred = model.predictor.predict(x_val)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pct = np.abs(pred - y_val) / np.maximum(y_val, 1e-12) * 100.0
+        reference.append(PathPoint(gamma, model.n_selected_features,
+                                   float(np.mean(pct))))
+        supports.append(tuple(model.predictor.selected_indices))
+    distinct = {s for s in supports if s}
+    # The grid must revisit supports, or there is nothing to dedupe.
+    assert len(distinct) < sum(1 for s in supports if s)
+
+    calls = _counting_solves(monkeypatch)
+    points = lasso_path(matrix, alpha=4.0)
+    assert len(calls) == len(DEFAULT_GAMMAS) + len(distinct)
+    assert points == reference
+
+
+def test_fit_counts_solves_and_reports_capped_ones(tmp_path):
+    from repro.obs import read_events, session
+
+    matrix, _ = synthetic_matrix(seed=7, noise=100.0)
+    with session(run_dir=tmp_path) as observer:
+        capped = fit_predictor(
+            matrix, TrainingConfig(alpha=4.0, gamma=1e-4, max_iter=3))
+        counters = dict(observer.metrics.counters)
+        lasso_path(matrix, alpha=4.0)
+    # The Lasso solve and its refit both stop at the cap.
+    assert not capped.solve_info.converged
+    assert counters["model.fit.solves"] == 2
+    assert counters["model.fit.iterations"] == 6
+    assert counters["model.fit.capped"] == 2
+    after = observer.metrics.counters
+    assert after["model.fit.solves"] > 2 + len(DEFAULT_GAMMAS)
+    assert after["model.fit.refits_reused"] > 0
+    assert after["model.fit.capped"] == 2
+    events = [e for e in read_events(tmp_path / "events.jsonl")
+              if e["type"] == "fit.capped"]
+    n = matrix.n_jobs
+    assert [(e["gamma"], e["n"], e["p"], e["iterations"])
+            for e in events] == [(1e-4 * n, n, matrix.n_features, 3),
+                                 (0.0, n, capped.n_selected_features, 3)]
 
 
 def test_percent_errors_sign_convention():
