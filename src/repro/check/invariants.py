@@ -9,10 +9,12 @@ so this module re-derives every one of them from the recorded
 discrepancy as an :class:`InvariantViolation`.
 
 The checker is pure (no mutation, no I/O beyond ``check.*`` metrics)
-and deliberately *independent* of the runner's control flow: it
-recomputes expectations from first principles instead of calling back
-into :func:`~repro.runtime.episode.run_episode`, so a bug in the
-runner cannot hide itself.
+and deliberately *independent* of the runners: it recomputes
+expectations from first principles instead of calling
+:func:`~repro.runtime.episode.charge_job`, the kernel that charges
+every job :func:`~repro.runtime.episode.run_episode` and the serving
+streams execute, so a bug in that kernel cannot hide itself.  Both
+checkers hold each executed job to the same per-job rule pass.
 
 Invariant catalog (codes as emitted):
 
@@ -130,6 +132,162 @@ def _energies_equal(a: float, b: float, rel_eps: float) -> bool:
     return abs(a - b) <= rel_eps * max(abs(a), abs(b), 1e-30)
 
 
+class _Violations(list):
+    """The violations one checker found, in the order it found them."""
+
+    def bad(self, code: str, job: Optional[int], message: str,
+            expected: object = None, actual: object = None) -> None:
+        self.append(InvariantViolation(
+            code=code, job_index=job, message=message,
+            expected=expected, actual=actual))
+
+
+@dataclass(frozen=True)
+class _JobRules:
+    """What every executed job of one episode or stream is held to."""
+
+    deadline: float
+    energy_model: Optional[EnergyModel]
+    slice_energy_model: Optional[EnergyModel]
+    nominal: Optional[OperatingPoint]
+    t_switch: float
+    uses_slice: Optional[bool]
+    charge_overheads: Optional[bool]
+    rel_eps: float
+    energy_rel_eps: float
+
+
+def _job_rules(scheme: str, deadline: float,
+               energy_model: Optional[EnergyModel],
+               slice_energy_model: Optional[EnergyModel],
+               levels: Optional[LevelTable], t_switch: float,
+               uses_slice: Optional[bool],
+               charge_overheads: Optional[bool],
+               rel_eps: float, energy_rel_eps: float) -> _JobRules:
+    """Resolve a checker's arguments; unset capability flags default
+    to the :data:`SCHEME_CAPS` entry for ``scheme``."""
+    caps = capabilities_for(scheme)
+    if uses_slice is None:
+        uses_slice = caps.uses_slice if caps is not None else None
+    if charge_overheads is None:
+        charge_overheads = caps.charge_overheads if caps is not None else None
+    return _JobRules(
+        deadline=deadline, energy_model=energy_model,
+        slice_energy_model=slice_energy_model,
+        nominal=levels.nominal if levels is not None else None,
+        t_switch=t_switch, uses_slice=uses_slice,
+        charge_overheads=charge_overheads,
+        rel_eps=rel_eps, energy_rel_eps=energy_rel_eps)
+
+
+def _check_job(violations: _Violations, rules: _JobRules, i: int, o,
+               prev_point: Optional[OperatingPoint],
+               fallback: bool = False) -> OperatingPoint:
+    """The per-job identities an episode and a stream share.
+
+    Checks one executed outcome ``o`` (a
+    :class:`~repro.runtime.jobs.JobOutcome` or an executed
+    :class:`~repro.serve.server.StreamOutcome`) for its time
+    components, deadline flag, fallback semantics (when ``fallback``),
+    switch and slice charging, and energy decomposition; reports each
+    broken identity into ``violations`` under job ``i``.  Returns the
+    job's operating point, the switch reference of the next job.
+    """
+    bad = violations.bad
+    deadline = rules.deadline
+    rel_eps = rules.rel_eps
+    nominal = rules.nominal
+    t_switch = rules.t_switch
+    charge_overheads = rules.charge_overheads
+    uses_slice = rules.uses_slice
+    energy_model = rules.energy_model
+    slice_energy_model = rules.slice_energy_model
+    point = OperatingPoint(voltage=o.voltage, frequency=o.frequency,
+                           is_boost=o.boosted)
+
+    # -- time components ----------------------------------------------
+    for fname in ("t_slice", "t_switch", "t_exec"):
+        if getattr(o, fname) < 0.0:
+            bad("time.negative", i, f"{fname} is negative",
+                expected=0.0, actual=getattr(o, fname))
+    t_exec = o.job.actual_cycles / o.frequency
+    if not _times_equal(o.t_exec, t_exec, deadline, rel_eps):
+        bad("time.exec", i,
+            "t_exec does not equal actual_cycles / frequency",
+            expected=t_exec, actual=o.t_exec)
+
+    # -- deadline flag (relative to the job's own release) -------------
+    missed = deadline_missed(o.finish, o.release, deadline, rel_eps)
+    if o.missed != missed:
+        bad("deadline.miss_flag", i,
+            "miss flag disagrees with the shared epsilon predicate",
+            expected=missed, actual=o.missed)
+
+    # -- fallback semantics --------------------------------------------
+    if fallback:
+        if o.t_slice != 0.0:
+            bad("stream.fallback", i,
+                "fallback job charged slice time — degraded jobs "
+                "abandon the prediction path entirely",
+                expected=0.0, actual=o.t_slice)
+        if nominal is not None and o.frequency < nominal.frequency:
+            bad("stream.fallback", i,
+                "fallback job dispatched below nominal frequency",
+                expected=nominal.frequency, actual=o.frequency)
+
+    # -- switch charging -----------------------------------------------
+    changed = (prev_point is not None and point != prev_point)
+    if charge_overheads is False and o.t_switch != 0.0:
+        bad("caps.switch_free", i,
+            "overhead-free scheme charged switch time",
+            expected=0.0, actual=o.t_switch)
+    elif charge_overheads and t_switch > 0.0:
+        if prev_point is not None:
+            expected_switch = t_switch if changed else 0.0
+            if o.t_switch != expected_switch:
+                bad("switch.charge", i,
+                    "switch time charged iff the level changed, "
+                    "at exactly the configured switching time",
+                    expected=expected_switch, actual=o.t_switch)
+        elif o.t_switch not in (0.0, t_switch):
+            bad("switch.charge", i,
+                "switch time is neither zero nor the configured "
+                "switching time",
+                expected=(0.0, t_switch), actual=o.t_switch)
+
+    # -- slice charging ------------------------------------------------
+    if uses_slice is False and o.t_slice != 0.0:
+        bad("caps.slice_free", i,
+            "scheme without a prediction slice charged slice time",
+            expected=0.0, actual=o.t_slice)
+    if uses_slice and not fallback and nominal is not None:
+        t_slice = o.job.slice_cycles / nominal.frequency
+        if not _times_equal(o.t_slice, t_slice, deadline, rel_eps):
+            bad("time.slice", i,
+                "slice time does not equal slice_cycles / f_nominal",
+                expected=t_slice, actual=o.t_slice)
+
+    # -- energy decomposition ------------------------------------------
+    if energy_model is not None:
+        energy = energy_model.job_energy(o.job.activity, point, o.t_exec)
+        energy += switch_window_energy(energy_model, point, o.t_switch)
+        recomputable = True
+        if o.t_slice > 0.0:
+            if slice_energy_model is not None and nominal is not None:
+                slice_activity = JobActivity(cycles=o.job.slice_cycles)
+                energy += slice_energy_model.job_energy(
+                    slice_activity, nominal, o.t_slice)
+            else:
+                recomputable = False  # cannot price the slice
+        if recomputable and not _energies_equal(o.energy, energy,
+                                                rules.energy_rel_eps):
+            bad("energy.recompute", i,
+                "recorded energy does not decompose into exec + "
+                "switch leakage + slice energy",
+                expected=energy, actual=o.energy)
+    return point
+
+
 def check_episode(result: EpisodeResult,
                   energy_model: Optional[EnergyModel] = None,
                   slice_energy_model: Optional[EnergyModel] = None,
@@ -149,30 +307,18 @@ def check_episode(result: EpisodeResult,
     episode's controller name.  Returns all violations found (empty
     list = episode is internally consistent).
     """
-    caps = capabilities_for(result.controller)
-    if uses_slice is None:
-        uses_slice = caps.uses_slice if caps is not None else None
-    if charge_overheads is None:
-        charge_overheads = caps.charge_overheads if caps is not None else None
-
-    deadline = result.task.deadline
-    violations: List[InvariantViolation] = []
-
-    def bad(code: str, job: Optional[int], message: str,
-            expected: object = None, actual: object = None) -> None:
-        violations.append(InvariantViolation(
-            code=code, job_index=job, message=message,
-            expected=expected, actual=actual))
+    rules = _job_rules(result.controller, result.task.deadline,
+                       energy_model, slice_energy_model, levels,
+                       t_switch, uses_slice, charge_overheads,
+                       rel_eps, energy_rel_eps)
+    deadline = rules.deadline
+    violations = _Violations()
+    bad = violations.bad
 
     prev_finish = 0.0
-    prev_point: Optional[OperatingPoint] = (
-        levels.nominal if levels is not None else None)
-    nominal = levels.nominal if levels is not None else None
+    prev_point = rules.nominal
 
     for i, o in enumerate(result.outcomes):
-        point = OperatingPoint(voltage=o.voltage, frequency=o.frequency,
-                               is_boost=o.boosted)
-
         # -- timeline ------------------------------------------------
         release = i * deadline
         if not _times_equal(o.release, release, deadline, rel_eps):
@@ -186,78 +332,8 @@ def check_episode(result: EpisodeResult,
                 "timeline has a gap or an overlap",
                 expected=start, actual=o.start)
 
-        # -- time components ------------------------------------------
-        for field in ("t_slice", "t_switch", "t_exec"):
-            if getattr(o, field) < 0.0:
-                bad("time.negative", i, f"{field} is negative",
-                    expected=0.0, actual=getattr(o, field))
-        t_exec = o.job.actual_cycles / o.frequency
-        if not _times_equal(o.t_exec, t_exec, deadline, rel_eps):
-            bad("time.exec", i,
-                "t_exec does not equal actual_cycles / frequency",
-                expected=t_exec, actual=o.t_exec)
-
-        # -- deadline flag --------------------------------------------
-        missed = deadline_missed(o.finish, o.release, deadline, rel_eps)
-        if o.missed != missed:
-            bad("deadline.miss_flag", i,
-                "miss flag disagrees with the shared epsilon predicate",
-                expected=missed, actual=o.missed)
-
-        # -- switch charging ------------------------------------------
-        changed = (prev_point is not None and point != prev_point)
-        if charge_overheads is False and o.t_switch != 0.0:
-            bad("caps.switch_free", i,
-                "overhead-free scheme charged switch time",
-                expected=0.0, actual=o.t_switch)
-        elif charge_overheads and t_switch > 0.0:
-            if prev_point is not None:
-                expected_switch = t_switch if changed else 0.0
-                if o.t_switch != expected_switch:
-                    bad("switch.charge", i,
-                        "switch time charged iff the level changed, "
-                        "at exactly the configured switching time",
-                        expected=expected_switch, actual=o.t_switch)
-            elif o.t_switch not in (0.0, t_switch):
-                bad("switch.charge", i,
-                    "switch time is neither zero nor the configured "
-                    "switching time",
-                    expected=(0.0, t_switch), actual=o.t_switch)
-
-        # -- slice charging -------------------------------------------
-        if uses_slice is False and o.t_slice != 0.0:
-            bad("caps.slice_free", i,
-                "scheme without a prediction slice charged slice time",
-                expected=0.0, actual=o.t_slice)
-        if uses_slice and nominal is not None:
-            t_slice = o.job.slice_cycles / nominal.frequency
-            if not _times_equal(o.t_slice, t_slice, deadline, rel_eps):
-                bad("time.slice", i,
-                    "slice time does not equal slice_cycles / f_nominal",
-                    expected=t_slice, actual=o.t_slice)
-
-        # -- energy decomposition -------------------------------------
-        if energy_model is not None:
-            energy = energy_model.job_energy(o.job.activity, point,
-                                             o.t_exec)
-            energy += switch_window_energy(energy_model, point, o.t_switch)
-            recomputable = True
-            if o.t_slice > 0.0:
-                if slice_energy_model is not None and nominal is not None:
-                    slice_activity = JobActivity(cycles=o.job.slice_cycles)
-                    energy += slice_energy_model.job_energy(
-                        slice_activity, nominal, o.t_slice)
-                else:
-                    recomputable = False  # cannot price the slice
-            if recomputable and not _energies_equal(o.energy, energy,
-                                                    energy_rel_eps):
-                bad("energy.recompute", i,
-                    "recorded energy does not decompose into exec + "
-                    "switch leakage + slice energy",
-                    expected=energy, actual=o.energy)
-
+        prev_point = _check_job(violations, rules, i, o, prev_point)
         prev_finish = o.start + o.t_slice + o.t_switch + o.t_exec
-        prev_point = point
 
     observer = get_observer()
     if observer is not None:
@@ -305,24 +381,16 @@ def check_stream(result: "StreamResult",
     degraded ones above rather than the scheme's.  Deadlines are
     relative to each job's own arrival (``release + deadline``).
     """
-    caps = capabilities_for(result.scheme)
-    if uses_slice is None:
-        uses_slice = caps.uses_slice if caps is not None else None
-    if charge_overheads is None:
-        charge_overheads = caps.charge_overheads if caps is not None else None
-
     # Imported here (not at module top) to keep repro.check importable
     # without the serve package and free of import cycles.
     from ..serve.server import FALLBACK, SHED, TERMINAL_STATES
 
-    deadline = result.deadline
-    violations: List[InvariantViolation] = []
-
-    def bad(code: str, job: Optional[int], message: str,
-            expected: object = None, actual: object = None) -> None:
-        violations.append(InvariantViolation(
-            code=code, job_index=job, message=message,
-            expected=expected, actual=actual))
+    rules = _job_rules(result.scheme, result.deadline, energy_model,
+                       slice_energy_model, levels, t_switch, uses_slice,
+                       charge_overheads, rel_eps, energy_rel_eps)
+    deadline = rules.deadline
+    violations = _Violations()
+    bad = violations.bad
 
     # -- conservation -------------------------------------------------
     if len(result.outcomes) != result.n_offered:
@@ -353,9 +421,7 @@ def check_stream(result: "StreamResult",
                     + result.n_shed))
 
     prev_finish = 0.0
-    prev_point: Optional[OperatingPoint] = (
-        levels.nominal if levels is not None else None)
-    nominal = levels.nominal if levels is not None else None
+    prev_point = rules.nominal
 
     for o in result.outcomes:
         i = o.index
@@ -380,10 +446,6 @@ def check_stream(result: "StreamResult",
                     expected=False, actual=True)
             continue
 
-        point = OperatingPoint(voltage=o.voltage, frequency=o.frequency,
-                               is_boost=o.boosted)
-        fallback = o.status == FALLBACK
-
         # -- timeline chain over executed jobs -------------------------
         start = max(prev_finish, o.release)
         if not _times_equal(o.start, start, deadline, rel_eps):
@@ -392,90 +454,9 @@ def check_stream(result: "StreamResult",
                 "stream timeline has a gap or an overlap",
                 expected=start, actual=o.start)
 
-        # -- time components -------------------------------------------
-        for fname in ("t_slice", "t_switch", "t_exec"):
-            if getattr(o, fname) < 0.0:
-                bad("time.negative", i, f"{fname} is negative",
-                    expected=0.0, actual=getattr(o, fname))
-        t_exec = o.job.actual_cycles / o.frequency
-        if not _times_equal(o.t_exec, t_exec, deadline, rel_eps):
-            bad("time.exec", i,
-                "t_exec does not equal actual_cycles / frequency",
-                expected=t_exec, actual=o.t_exec)
-
-        # -- deadline flag (relative to the job's own arrival) ---------
-        missed = deadline_missed(o.finish, o.release, deadline, rel_eps)
-        if o.missed != missed:
-            bad("deadline.miss_flag", i,
-                "miss flag disagrees with the shared epsilon predicate",
-                expected=missed, actual=o.missed)
-
-        # -- fallback semantics ----------------------------------------
-        if fallback:
-            if o.t_slice != 0.0:
-                bad("stream.fallback", i,
-                    "fallback job charged slice time — degraded jobs "
-                    "abandon the prediction path entirely",
-                    expected=0.0, actual=o.t_slice)
-            if nominal is not None and o.frequency < nominal.frequency:
-                bad("stream.fallback", i,
-                    "fallback job dispatched below nominal frequency",
-                    expected=nominal.frequency, actual=o.frequency)
-
-        # -- switch charging -------------------------------------------
-        changed = (prev_point is not None and point != prev_point)
-        if charge_overheads is False and o.t_switch != 0.0:
-            bad("caps.switch_free", i,
-                "overhead-free scheme charged switch time",
-                expected=0.0, actual=o.t_switch)
-        elif charge_overheads and t_switch > 0.0:
-            if prev_point is not None:
-                expected_switch = t_switch if changed else 0.0
-                if o.t_switch != expected_switch:
-                    bad("switch.charge", i,
-                        "switch time charged iff the level changed, "
-                        "at exactly the configured switching time",
-                        expected=expected_switch, actual=o.t_switch)
-            elif o.t_switch not in (0.0, t_switch):
-                bad("switch.charge", i,
-                    "switch time is neither zero nor the configured "
-                    "switching time",
-                    expected=(0.0, t_switch), actual=o.t_switch)
-
-        # -- slice charging --------------------------------------------
-        if uses_slice is False and o.t_slice != 0.0:
-            bad("caps.slice_free", i,
-                "scheme without a prediction slice charged slice time",
-                expected=0.0, actual=o.t_slice)
-        if uses_slice and not fallback and nominal is not None:
-            t_slice = o.job.slice_cycles / nominal.frequency
-            if not _times_equal(o.t_slice, t_slice, deadline, rel_eps):
-                bad("time.slice", i,
-                    "slice time does not equal slice_cycles / f_nominal",
-                    expected=t_slice, actual=o.t_slice)
-
-        # -- energy decomposition --------------------------------------
-        if energy_model is not None:
-            energy = energy_model.job_energy(o.job.activity, point,
-                                             o.t_exec)
-            energy += switch_window_energy(energy_model, point, o.t_switch)
-            recomputable = True
-            if o.t_slice > 0.0:
-                if slice_energy_model is not None and nominal is not None:
-                    slice_activity = JobActivity(cycles=o.job.slice_cycles)
-                    energy += slice_energy_model.job_energy(
-                        slice_activity, nominal, o.t_slice)
-                else:
-                    recomputable = False  # cannot price the slice
-            if recomputable and not _energies_equal(o.energy, energy,
-                                                    energy_rel_eps):
-                bad("energy.recompute", i,
-                    "recorded energy does not decompose into exec + "
-                    "switch leakage + slice energy",
-                    expected=energy, actual=o.energy)
-
+        prev_point = _check_job(violations, rules, i, o, prev_point,
+                                fallback=o.status == FALLBACK)
         prev_finish = o.start + o.t_slice + o.t_switch + o.t_exec
-        prev_point = point
 
     observer = get_observer()
     if observer is not None:
@@ -511,13 +492,8 @@ def check_fleet(result: "FleetResult",
       tenant's offered count equals its completed + fallback + shed
       across dispatcher and shards.
     """
-    violations: List[InvariantViolation] = []
-
-    def bad(code: str, job: Optional[int], message: str,
-            expected: object = None, actual: object = None) -> None:
-        violations.append(InvariantViolation(
-            code=code, job_index=job, message=message,
-            expected=expected, actual=actual))
+    violations = _Violations()
+    bad = violations.bad
 
     # -- per-shard stream identities ----------------------------------
     for shard_index, (spec, shard) in enumerate(
@@ -633,13 +609,8 @@ def check_epochs(result: "StreamResult",
     """
     from ..serve.server import SHED
 
-    violations: List[InvariantViolation] = []
-
-    def bad(code: str, job: Optional[int], message: str,
-            expected: object = None, actual: object = None) -> None:
-        violations.append(InvariantViolation(
-            code=code, job_index=job, message=message,
-            expected=expected, actual=actual))
+    violations = _Violations()
+    bad = violations.bad
 
     deadline = result.deadline
     position = {o.index: k for k, o in enumerate(result.outcomes)}

@@ -2,6 +2,7 @@
 
 from .episode import (
     EpisodeResult,
+    charge_job,
     run_episode,
     strict_checks_enabled,
     switch_window_energy,
@@ -14,7 +15,7 @@ from .trace import TracePoint, render_trace, sparkline, trace_episode
 __all__ = [
     "AcceleratorStream", "EpisodeResult", "JobOutcome", "JobRecord",
     "SchemeSummary", "SocResult", "Task", "TracePoint",
-    "average_summaries", "format_table", "render_trace", "run_episode",
-    "run_soc", "sparkline", "strict_checks_enabled", "summarize",
-    "switch_window_energy", "trace_episode",
+    "average_summaries", "charge_job", "format_table", "render_trace",
+    "run_episode", "run_soc", "sparkline", "strict_checks_enabled",
+    "summarize", "switch_window_energy", "trace_episode",
 ]

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..dvfs.energy import EnergyModel, JobActivity
+from ..dvfs.levels import OperatingPoint
 from ..obs import get_observer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -34,12 +35,49 @@ def switch_window_energy(energy_model: EnergyModel,
     The switch costs wall time, and powered silicon leaks for all of
     it — pricing the window as a zero-activity job charges exactly the
     leakage term at the destination point's voltage.  Shared by
-    :func:`run_episode` and the invariant checker so their accounting
+    :func:`charge_job` and the invariant checker so their accounting
     can never drift apart.
     """
     if duration <= 0.0:
         return 0.0
     return energy_model.job_energy(_IDLE_ACTIVITY, point, duration)
+
+
+def charge_job(record: JobRecord, point: OperatingPoint, t_slice: float,
+               switch_needed: bool, start: float, release: float,
+               deadline: float, energy_model: EnergyModel,
+               slice_energy_model: Optional[EnergyModel],
+               nominal: OperatingPoint, t_switch: float,
+               uses_slice: bool
+               ) -> Tuple[float, float, float, bool, float]:
+    """Charge one job at ``point`` from ``start`` (Fig 4's accounting).
+
+    Returns ``(t_switch, t_exec, finish, missed, energy)``: the switch
+    time actually charged, the execution time, the finish instant
+    ``start + (t_slice + t_switch + t_exec)`` (the association both
+    outcome types' ``finish`` property uses), the deadline-miss flag
+    against ``release + deadline``, and the energy — execution, plus
+    switch-window leakage, plus the slice run at ``nominal`` when
+    ``uses_slice`` and the slice took time.  Every runner that executes
+    a job (:func:`run_episode`, the serving streams) charges it here.
+    """
+    t_switch = t_switch if switch_needed else 0.0
+    t_exec = record.actual_cycles / point.frequency
+    finish = start + (t_slice + t_switch + t_exec)
+    missed = deadline_missed(finish, release, deadline)
+    energy = energy_model.job_energy(record.activity, point, t_exec)
+    # The switch window adds wall time, so it must add leakage too —
+    # otherwise switching is time-expensive yet energy-free and the
+    # scheme comparison under-charges switch-happy controllers.
+    energy += switch_window_energy(energy_model, point, t_switch)
+    if uses_slice and t_slice > 0.0:
+        if slice_energy_model is None:
+            raise ValueError(
+                "the controller runs a slice but no slice energy model "
+                "was provided")
+        energy += slice_energy_model.job_energy(
+            JobActivity(cycles=record.slice_cycles), nominal, t_slice)
+    return t_switch, t_exec, finish, missed, energy
 
 
 def strict_checks_enabled() -> bool:
@@ -132,28 +170,12 @@ def run_episode(controller: "Controller",
 
         t_slice = plan.t_slice
         switch_needed = point != previous and controller.charge_overheads
-        t_switch_actual = t_switch if switch_needed else 0.0
-        t_exec = job.actual_cycles / point.frequency
-        total = t_slice + t_switch_actual + t_exec
-        missed = deadline_missed(start + total, release, task.deadline)
-        now = start + total
+        t_switch_actual, t_exec, now, missed, energy = charge_job(
+            job, point, t_slice, switch_needed, start, release,
+            task.deadline, energy_model, slice_energy_model, nominal,
+            t_switch, controller.uses_slice)
         if switch_needed:
             switch_count += 1
-
-        energy = energy_model.job_energy(job.activity, point, t_exec)
-        # The switch window adds wall time, so it must add leakage too —
-        # otherwise switching is time-expensive yet energy-free and the
-        # scheme comparison under-charges switch-happy controllers.
-        energy += switch_window_energy(energy_model, point, t_switch_actual)
-        if controller.uses_slice and t_slice > 0.0:
-            if slice_energy_model is None:
-                raise ValueError(
-                    f"controller {controller.name} runs a slice but no "
-                    "slice energy model was provided"
-                )
-            slice_activity = JobActivity(cycles=job.slice_cycles)
-            energy += slice_energy_model.job_energy(
-                slice_activity, nominal, t_slice)
 
         outcomes.append(JobOutcome(
             job=job,

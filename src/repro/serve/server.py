@@ -17,10 +17,12 @@ queue over one accelerator:
   max-frequency (nominal) execution with no slice charge: the event
   is counted, the stream keeps serving.
 
-Execution accounting mirrors :func:`~repro.runtime.episode.run_episode`
-exactly — the same energy decomposition, deadline epsilon, and switch
-charging rules — but on a stream timeline where ``release`` is the
-arrival instant rather than a rigid period boundary.  There is one
+Every executed job is charged by
+:func:`~repro.runtime.episode.charge_job`, the kernel
+:func:`~repro.runtime.episode.run_episode` calls too — the same energy
+decomposition, deadline epsilon, switch charging rules and clock — but
+on a stream timeline where ``release`` is the arrival instant rather
+than a rigid period boundary.  There is one
 engine: the per-job ``offer``/``drain`` state machine, which runs the
 slice once per executed job and then picks that job's level, as the
 paper's controller does (Fig 4).
@@ -43,12 +45,12 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..dvfs.controllers import Controller
-from ..dvfs.energy import EnergyModel, JobActivity
+from ..dvfs.energy import EnergyModel
 from ..model.linear import predict_cycles_batch
 from ..obs import get_observer, span
-from ..runtime.episode import strict_checks_enabled, switch_window_energy
+from ..runtime.episode import charge_job, strict_checks_enabled
 from ..runtime.jobs import JobRecord
-from ..units import DVFS_SWITCH_TIME, FRAME_DEADLINE_60FPS, deadline_missed
+from ..units import DVFS_SWITCH_TIME, FRAME_DEADLINE_60FPS
 from .stream import StreamJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -487,22 +489,11 @@ class AcceleratorStream:
 
         switch_needed = (point != self._previous
                          and controller.charge_overheads)
-        t_switch = self.config.t_switch if switch_needed else 0.0
-        t_exec = record.actual_cycles / point.frequency
-        finish = start + t_slice + t_switch + t_exec
-        missed = deadline_missed(finish, release, self.config.deadline)
-
-        energy = self.energy_model.job_energy(record.activity, point,
-                                              t_exec)
-        energy += switch_window_energy(self.energy_model, point, t_switch)
-        if not fallback and controller.uses_slice and t_slice > 0.0:
-            if self.slice_energy_model is None:
-                raise ValueError(
-                    f"stream {self.name} runs a slice but has no "
-                    "slice energy model")
-            energy += self.slice_energy_model.job_energy(
-                JobActivity(cycles=record.slice_cycles),
-                self.levels.nominal, t_slice)
+        t_switch, t_exec, finish, missed, energy = charge_job(
+            record, point, t_slice, switch_needed, start, release,
+            self.config.deadline, self.energy_model,
+            self.slice_energy_model, self.levels.nominal,
+            self.config.t_switch, controller.uses_slice)
 
         self.now = finish
         self._previous = point
