@@ -9,14 +9,16 @@ controller for many frames.
 
 ``tune_pid`` reproduces "we tuned the PID controller's parameters to
 achieve the best prediction accuracy" with a grid search over gains on
-the training series.
+the training series.  The search is a pure function of the series and
+the grid, so each distinct pair is searched once per process (until
+:func:`clear_tuning_cache`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -84,17 +86,34 @@ def replay_errors(series: Sequence[float], gains: PidGains) -> float:
     return total / count if count else float("inf")
 
 
-DEFAULT_GRID: Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]] = (
+Grid = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
+
+DEFAULT_GRID: Grid = (
     (0.2, 0.4, 0.6, 0.8, 1.0),   # kp
     (0.0, 0.02, 0.05, 0.1),      # ki
     (0.0, 0.1, 0.2, 0.4),        # kd
 )
 
+#: Tuned gains, keyed by ``(series, grid)``.
+_TUNED: Dict[Tuple[Tuple[float, ...], Grid], PidGains] = {}
+
 
 def tune_pid(series: Sequence[float],
-             grid: Tuple[Tuple[float, ...], Tuple[float, ...],
-                         Tuple[float, ...]] = DEFAULT_GRID) -> PidGains:
+             grid: Grid = DEFAULT_GRID) -> PidGains:
     """Grid-search gains minimizing replay MSE on a training series."""
+    key = (tuple(series), grid)
+    gains = _TUNED.get(key)
+    if gains is None:
+        gains = _TUNED[key] = _grid_search(key[0], grid)
+    return gains
+
+
+def clear_tuning_cache() -> None:
+    """Drop every memoized tuning; the next call searches again."""
+    _TUNED.clear()
+
+
+def _grid_search(series: Sequence[float], grid: Grid) -> PidGains:
     if len(series) < 3:
         return DEFAULT_GAINS
     best_gains = DEFAULT_GAINS

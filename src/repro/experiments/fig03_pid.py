@@ -46,6 +46,7 @@ def run(scale: Optional[float] = None, window: int = 35) -> Fig3Result:
     bundle = bundle_for("h264", scale)
     gains = tune_pid(bundle.train_cycles)
     f0 = bundle.design.nominal_frequency
+    # The pass's Fig 2 series: no frame is simulated twice.
     series = run_fig2(scale).series_ms["foreman"]
     pid = PidPredictor(gains)
     actual: List[float] = []

@@ -39,6 +39,7 @@ from ..dvfs import (
     build_level_table,
 )
 from ..dvfs.energy import EnergyModel
+from ..dvfs.pid import clear_tuning_cache
 from ..flow import (
     FlowConfig,
     GeneratedPredictor,
@@ -57,7 +58,11 @@ from ..parallel import (
     workload_fingerprint,
 )
 from ..runtime import EpisodeResult, JobRecord, Task, run_episode
-from ..workloads import BenchmarkWorkload, workload_for
+from ..workloads import (
+    BenchmarkWorkload,
+    clear_workload_cache,
+    workload_for,
+)
 from .setup import ExperimentConfig, default_config
 
 
@@ -77,10 +82,24 @@ class BenchmarkBundle:
         return self.design.name
 
 
+#: Every in-memory memo of an experiment module, emptied together by
+#: :func:`clear_bundle_cache`.
+_PASS_MEMOS: List[dict] = []
+
+
+def pass_memo() -> dict:
+    """A new memo dict with the bundles' lifetime: experiment modules
+    keep pure, repeated work (the Fig 2 series) in one, and
+    :func:`clear_bundle_cache` empties it with the bundles."""
+    memo: dict = {}
+    _PASS_MEMOS.append(memo)
+    return memo
+
+
 #: In-memory bundle cache, keyed by (benchmark, scale, FlowConfig
 #: fingerprint) — two calls that differ only in ``flow_config`` build
 #: two bundles instead of silently sharing the first one.
-_BUNDLES: Dict[Tuple[str, float, str], BenchmarkBundle] = {}
+_BUNDLES: Dict[Tuple[str, float, str], BenchmarkBundle] = pass_memo()
 
 
 def _bundle_disk_key(name: str, scale: float, config_fp: str) -> str:
@@ -213,8 +232,14 @@ def prewarm_bundles(names: Iterable[str],
 
 
 def clear_bundle_cache() -> None:
-    """Drop all in-memory bundles (tests and memory pressure)."""
-    _BUNDLES.clear()
+    """Drop every in-memory memo of a pass: the bundles, the generated
+    workloads, the tuned PID gains and each :func:`pass_memo` (the
+    Fig 2 series).  The next experiment then starts cold, as in a new
+    process (tests, benchmarks and memory pressure)."""
+    for memo in _PASS_MEMOS:
+        memo.clear()
+    clear_workload_cache()
+    clear_tuning_cache()
 
 
 @dataclass

@@ -65,7 +65,13 @@ def solve_coordinate(objective: AsymmetricLassoObjective,
         improvement = value - new_value
         value = new_value
         if 0 <= improvement <= tol * max(abs(value), 1.0):
-            return SolveResult(beta=beta, value=value,
-                               iterations=sweep, converged=True)
-    return SolveResult(beta=beta, value=value,
-                       iterations=max_sweeps, converged=False)
+            return SolveResult(beta=beta, value=value, iterations=sweep,
+                               converged=True, kkt=_kkt(objective, beta))
+    return SolveResult(beta=beta, value=value, iterations=max_sweeps,
+                       converged=False, kkt=_kkt(objective, beta))
+
+
+def _kkt(objective: AsymmetricLassoObjective, beta: np.ndarray) -> float:
+    # The same residual FISTA reports, at its step 1 / L.
+    return objective.prox_gradient_residual(beta,
+                                            1.0 / objective.lipschitz())

@@ -84,6 +84,14 @@ class AsymmetricLassoObjective:
         """The full objective: smooth loss plus L1 penalty."""
         return self.smooth_value(beta) + self.l1_value(beta)
 
+    def prox_gradient_residual(self, beta: np.ndarray,
+                               step: float) -> float:
+        """The KKT residual at ``beta``: the largest entry of the
+        gradient mapping ``(beta - prox(beta - step * grad, step)) /
+        step``, which is zero exactly at a minimizer."""
+        moved = self.prox(beta - step * self.smooth_grad(beta), step)
+        return float(np.max(np.abs(beta - moved)) / step)
+
     def lipschitz(self) -> float:
         """An upper bound on the smooth part's gradient Lipschitz const.
 

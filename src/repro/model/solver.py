@@ -20,12 +20,19 @@ from .objective import AsymmetricLassoObjective
 
 @dataclass
 class SolveResult:
-    """Solver outcome."""
+    """Solver outcome.
+
+    ``kkt`` is the prox-gradient residual at ``beta`` (see
+    :meth:`~repro.model.objective.AsymmetricLassoObjective.prox_gradient_residual`
+    at step ``1 / L``): how far the returned point is from optimal,
+    whatever the stopping rule concluded.
+    """
 
     beta: np.ndarray
     value: float
     iterations: int
     converged: bool
+    kkt: float
 
 
 def solve(objective: AsymmetricLassoObjective,
@@ -35,13 +42,14 @@ def solve(objective: AsymmetricLassoObjective,
     """Minimize the objective; returns coefficients and diagnostics.
 
     Convergence is declared when the relative objective decrease over
-    an iteration falls below ``tol``.
+    an iteration falls below ``tol``.  The KKT residual of the result
+    is measured after the last iteration and changes no iterate.
     """
     n = objective.n_coeffs
     beta = np.zeros(n) if beta0 is None else np.asarray(beta0, float).copy()
     momentum = beta.copy()
     t = 1.0
-    step = 1.0 / objective.lipschitz()
+    step = base_step = 1.0 / objective.lipschitz()
     residuals = objective.weighted_residuals
     prox = objective.prox
     l1 = objective.l1_value
@@ -87,8 +95,11 @@ def solve(objective: AsymmetricLassoObjective,
         t = t_next
 
         if improvement >= 0 and improvement <= tol * max(abs(value), 1.0):
-            return SolveResult(beta=beta, value=value,
-                               iterations=iteration, converged=True)
+            return SolveResult(
+                beta=beta, value=value, iterations=iteration,
+                converged=True,
+                kkt=objective.prox_gradient_residual(beta, base_step))
 
-    return SolveResult(beta=beta, value=value,
-                       iterations=max_iter, converged=False)
+    return SolveResult(
+        beta=beta, value=value, iterations=max_iter, converged=False,
+        kkt=objective.prox_gradient_residual(beta, base_step))

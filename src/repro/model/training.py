@@ -168,9 +168,11 @@ def _solve_standardized(x: np.ndarray, y: np.ndarray, alpha: float,
     """Solve in standardized space; returns (beta, intercept, ...).
 
     Under an observer every solve counts in ``model.fit.solves`` and
-    ``model.fit.iterations``; one that stops at ``max_iter`` also
-    counts in ``model.fit.capped`` and emits a ``fit.capped`` event
-    (``gamma`` is the objective's L1 weight, ``p`` the feature count).
+    ``model.fit.iterations`` and raises the ``model.fit.kkt_max`` gauge
+    to its KKT residual; one that stops at ``max_iter`` also counts in
+    ``model.fit.capped`` and emits a ``fit.capped`` event (``gamma`` is
+    the objective's L1 weight, ``p`` the feature count, ``kkt`` the
+    residual).
     """
     std = Standardizer.fit(x)
     xs = std.transform(x)
@@ -186,10 +188,12 @@ def _solve_standardized(x: np.ndarray, y: np.ndarray, alpha: float,
     if observer is not None:
         observer.metrics.inc("model.fit.solves")
         observer.metrics.inc("model.fit.iterations", info.iterations)
+        observer.metrics.raise_gauge("model.fit.kkt_max", info.kkt)
         if not info.converged:
             observer.metrics.inc("model.fit.capped")
             observer.emit("fit.capped", gamma=gamma, n=x.shape[0],
-                          p=x.shape[1], iterations=info.iterations)
+                          p=x.shape[1], iterations=info.iterations,
+                          kkt=info.kkt)
     beta = info.beta[:-1]
     intercept = float(info.beta[-1])
     return beta, intercept, std, y_scale, info

@@ -197,6 +197,17 @@ class MetricsRegistry:
         """Set gauge ``name`` to its latest ``value``."""
         self.gauges[name] = float(value)
 
+    def raise_gauge(self, name: str, value: float) -> None:
+        """Raise gauge ``name`` to ``value`` if that is larger: a
+        running maximum.  The name must end in ``_max``, which is how
+        :meth:`merge_dict` knows to keep the larger value."""
+        if not name.endswith("_max"):
+            raise ValueError(f"a running-maximum gauge must end in "
+                             f"'_max', got {name!r}")
+        value = float(value)
+        if value > self.gauges.get(name, -math.inf):
+            self.gauges[name] = value
+
     def histogram(self, name: str) -> StreamingHistogram:
         """Get (or lazily create) the histogram called ``name``."""
         hist = self.histograms.get(name)
@@ -245,14 +256,18 @@ class MetricsRegistry:
     def merge_dict(self, payload: Dict[str, Dict]) -> None:
         """Fold a :meth:`to_dict` payload into this registry.
 
-        Counters add, histograms merge bucket-for-bucket, gauges take
-        the incoming value (latest writer wins — callers that must
-        keep their own gauges set them after merging).
+        Counters add, histograms merge bucket-for-bucket, ``*_max``
+        gauges keep the larger value, and other gauges take the
+        incoming value (latest writer wins — callers that must keep
+        their own gauges set them after merging).
         """
         for name, value in (payload.get("counters") or {}).items():
             self.inc(name, float(value))
         for name, value in (payload.get("gauges") or {}).items():
-            self.set_gauge(name, float(value))
+            if name.endswith("_max"):
+                self.raise_gauge(name, value)
+            else:
+                self.set_gauge(name, float(value))
         for name, hist_payload in (payload.get("histograms") or {}).items():
             incoming = StreamingHistogram.from_dict(hist_payload)
             existing = self.histograms.get(name)

@@ -58,9 +58,11 @@ def summarize_perf(metrics: Dict) -> str:
     snapshot.
 
     Reads the ``pool.*`` and ``cache.*`` series the parallel subsystem
-    emits and renders at most two lines — one for process-pool usage,
-    one for artifact-cache hits — or an empty string when the run used
-    neither, so callers can append it unconditionally.
+    emits and renders one line for process-pool usage and one for
+    artifact-cache hits, then one each for the model fit (solves,
+    iterations, capped solves, worst KKT residual), the simulators and
+    serving when the run did that work — or an empty string when it
+    did none of it, so callers can append it unconditionally.
     """
     counters = metrics.get("counters") or {}
     gauges = metrics.get("gauges") or {}
@@ -90,6 +92,16 @@ def summarize_perf(metrics: Dict) -> str:
     if skipped:
         lines.append(f"  record stage skipped for {int(skipped)} "
                      f"design(s) (cached feature matrix)")
+    solves = counters.get("model.fit.solves", 0)
+    if solves:
+        line = (f"  fit: {int(solves)} solve(s), "
+                f"{int(counters.get('model.fit.iterations', 0))} "
+                f"FISTA iteration(s), "
+                f"{int(counters.get('model.fit.capped', 0))} capped")
+        kkt = gauges.get("model.fit.kkt_max")
+        if kkt is not None:
+            line += f"; worst KKT residual {kkt:.3g}"
+        lines.append(line)
     from ..rtl.backend import BACKENDS
     for backend in reversed(BACKENDS):
         runs = counters.get(f"sim.{backend}.runs", 0)

@@ -34,7 +34,7 @@ import numpy as np
 
 #: Bump when the pickled layout of cached artifacts changes; old cache
 #: entries then miss instead of unpickling into stale shapes.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 
 def _update(h, obj) -> None:

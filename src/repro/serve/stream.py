@@ -28,6 +28,7 @@ from typing import (
 import numpy as np
 
 from ..runtime.jobs import JobRecord
+from ..workloads.rng import clip
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..accelerators.base import JobInput
@@ -136,8 +137,8 @@ def vfr_arrivals(rate: float, n_jobs: int, seed: int = 0,
     now = 0.0
     f = rate
     for _ in range(n_jobs):
-        f = float(np.clip(f * np.exp(rng.normal(0.0, jitter)),
-                          rate * floor, rate * ceil))
+        f = clip(f * np.exp(rng.normal(0.0, jitter)),
+                 rate * floor, rate * ceil)
         now += 1.0 / f
         times.append(now)
     return times

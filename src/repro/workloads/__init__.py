@@ -3,7 +3,12 @@
 from .datastream import DataPiece, generate_pieces
 from .images import Image, RawImage, Strip, generate_images, generate_raw_images
 from .particles import N_PARTICLES, Timestep, generate_trajectory
-from .registry import ALL_BENCHMARKS, BenchmarkWorkload, workload_for
+from .registry import (
+    ALL_BENCHMARKS,
+    BenchmarkWorkload,
+    clear_workload_cache,
+    workload_for,
+)
 from .video import (
     ClipSpec,
     Frame,
@@ -18,7 +23,8 @@ from .video import (
 __all__ = [
     "ALL_BENCHMARKS", "BenchmarkWorkload", "ClipSpec", "DataPiece", "Frame",
     "Image", "MacroblockDesc", "N_PARTICLES", "RawImage", "Strip",
-    "Timestep", "fig2_clips", "generate_clip", "generate_clips",
-    "generate_images", "generate_pieces", "generate_raw_images",
-    "generate_trajectory", "test_clips", "train_clips", "workload_for",
+    "Timestep", "clear_workload_cache", "fig2_clips", "generate_clip",
+    "generate_clips", "generate_images", "generate_pieces",
+    "generate_raw_images", "generate_trajectory", "test_clips",
+    "train_clips", "workload_for",
 ]

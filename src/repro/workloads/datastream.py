@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .rng import stream
+from .rng import clip, stream
 
 AES_BLOCK_BYTES = 16
 SHA_CHUNK_BYTES = 64
@@ -78,7 +78,7 @@ def generate_pieces(n: int, seed: int,
         else:
             log_size = (mid + size_rho * (log_size - mid)
                         + sizes.normal(0.0, 0.22 * spread))
-            log_size = float(np.clip(log_size, lo, hi))
+            log_size = clip(log_size, lo, hi)
         pieces.append(DataPiece(
             index=i,
             n_bytes=int(round(np.exp(log_size))),

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .rng import clipped_normal_int, stream
+from .rng import clip, clipped_normal_int, stream
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ def _correlated_dims(sizes, n: int, min_dim: int, max_dim: int,
             state = [sizes.uniform(lo, hi), sizes.uniform(lo, hi)]
         else:
             state = [
-                float(np.clip(mid + rho * (s - mid)
-                              + sizes.normal(0.0, 0.22 * spread), lo, hi))
+                clip(mid + rho * (s - mid)
+                     + sizes.normal(0.0, 0.22 * spread), lo, hi)
                 for s in state
             ]
         yield (int(round(np.exp(state[0]))), int(round(np.exp(state[1]))))

@@ -19,7 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .rng import stream
+from .rng import clip, stream
 
 N_PARTICLES = 256
 MAX_NEIGHBORS = 1023  # 10-bit field
@@ -58,7 +58,7 @@ def generate_trajectory(n_steps: int, seed: int,
             density = (density_mean
                        + density_rho * (density - density_mean)
                        + rng.normal(0.0, density_sigma))
-            density = float(np.clip(density, 0.08, 2.2))
+            density = clip(density, 0.08, 2.2)
         base = 150.0 * density
         counts = np.clip(
             base * (1.0 + offsets)

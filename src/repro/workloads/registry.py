@@ -4,13 +4,19 @@
 structure of Table 3 at a laptop-friendly size: the paper's 600/1500
 h264 frames become 200/300, everything else keeps its 100/200-job
 shape).  Train and test sets always use disjoint random seeds.
+
+Generation is seeded, so a workload is a pure function of
+``(name, scale)``: :func:`workload_for` builds each one once per
+process and hands every later caller the same immutable object, until
+:func:`clear_workload_cache` drops them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List
+from typing import Any, Dict, Tuple
 
+from ..obs import span
 from .datastream import generate_pieces
 from .images import generate_images, generate_raw_images
 from .particles import generate_trajectory
@@ -21,20 +27,44 @@ ALL_BENCHMARKS = ("h264", "cjpeg", "djpeg", "md", "stencil", "aes", "sha")
 
 @dataclass(frozen=True)
 class BenchmarkWorkload:
-    """Train and test item lists for one benchmark."""
+    """Train and test items for one benchmark (immutable: tuples of
+    frozen items, shared by every caller of :func:`workload_for`)."""
 
     name: str
-    train: List[Any]
-    test: List[Any]
+    train: Tuple[Any, ...]
+    test: Tuple[Any, ...]
     train_description: str
     test_description: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "train", tuple(self.train))
+        object.__setattr__(self, "test", tuple(self.test))
 
 
 def _count(base: int, scale: float, floor: int = 8) -> int:
     return max(int(round(base * scale)), floor)
 
 
+#: Generated workloads, keyed by ``(name, scale)``.
+_WORKLOADS: Dict[Tuple[str, float], BenchmarkWorkload] = {}
+
+
 def workload_for(name: str, scale: float = 1.0) -> BenchmarkWorkload:
+    """The Table 3 workload for one benchmark, generated on first use."""
+    workload = _WORKLOADS.get((name, scale))
+    if workload is None:
+        with span("workloads", benchmark=name, scale=scale):
+            workload = _generate(name, scale)
+        _WORKLOADS[(name, scale)] = workload
+    return workload
+
+
+def clear_workload_cache() -> None:
+    """Drop every generated workload; the next call regenerates."""
+    _WORKLOADS.clear()
+
+
+def _generate(name: str, scale: float) -> BenchmarkWorkload:
     """Build the Table 3 workload for one benchmark."""
     if name == "h264":
         n_train = _count(100, scale)

@@ -20,10 +20,20 @@ def stream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(h)
 
 
+def clip(value: float, low: float, high: float) -> float:
+    """``value`` clamped into [low, high], as a Python float.
+
+    Bit-identical to ``float(np.clip(value, low, high))`` for a scalar,
+    without numpy's per-call dispatch: the generators clip one draw at
+    a time, hundreds of thousands of times per workload.
+    """
+    return float(min(max(value, low), high))
+
+
 def clipped_normal(rng: np.random.Generator, mean: float, sigma: float,
                    low: float, high: float) -> float:
     """One normal draw clipped into [low, high]."""
-    return float(np.clip(rng.normal(mean, sigma), low, high))
+    return clip(rng.normal(mean, sigma), low, high)
 
 
 def clipped_normal_int(rng: np.random.Generator, mean: float, sigma: float,

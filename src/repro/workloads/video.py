@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .rng import clipped_normal, clipped_normal_int, stream
+from .rng import clip, clipped_normal, clipped_normal_int, stream
 
 MB_TYPE_INTRA = 0
 MB_TYPE_INTER = 1
@@ -90,7 +90,7 @@ def generate_clip(spec: ClipSpec) -> List[Frame]:
                 + spec.coeff_rho * (complexity - spec.coeff_mean)
                 + content.normal(0.0, spec.coeff_sigma)
             )
-            complexity = min(max(complexity, 5.0), MAX_COEFFS - 1.0)
+            complexity = clip(complexity, 5.0, MAX_COEFFS - 1.0)
         cabac_stress = clipped_normal(content, 7.5, 3.5, 1.0, 14.0)
         mbs = tuple(
             _draw_macroblock(content, spec, complexity, is_cut,

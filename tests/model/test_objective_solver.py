@@ -83,6 +83,23 @@ def test_solver_recovers_exact_linear_model():
     np.testing.assert_allclose(result.beta, beta_true, rtol=1e-4, atol=1e-5)
 
 
+def test_solver_reports_the_kkt_residual_of_its_result():
+    x, y, _ = random_problem(6, noise=0.5)
+    obj = make_objective(x, y, alpha=4.0, gamma=2.0)
+    step = 1.0 / obj.lipschitz()
+    done = solve(obj)
+    capped = solve(obj, max_iter=2)
+    assert done.converged and not capped.converged
+    for result in (done, capped):
+        assert result.kkt == obj.prox_gradient_residual(result.beta, step)
+    assert type(done.kkt) is float
+    assert done.kkt < capped.kkt
+    # At the exact optimum the gradient mapping vanishes.
+    exact = make_objective(x, x @ np.ones(5), alpha=4.0, gamma=0.0)
+    assert exact.prox_gradient_residual(np.ones(5), 0.1) == \
+        pytest.approx(0.0, abs=1e-12)
+
+
 def test_solver_l1_zeroes_irrelevant_features():
     rng = np.random.default_rng(4)
     n = 120

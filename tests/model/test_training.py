@@ -177,6 +177,12 @@ def test_fit_counts_solves_and_reports_capped_ones(tmp_path):
     assert [(e["gamma"], e["n"], e["p"], e["iterations"])
             for e in events] == [(1e-4 * n, n, matrix.n_features, 3),
                                  (0.0, n, capped.n_selected_features, 3)]
+    # Each capped event carries its KKT residual; the refit's is the
+    # final model's, and the run's gauge is the worst of every solve.
+    assert all(e["kkt"] > 0.0 for e in events)
+    assert events[1]["kkt"] == capped.solve_info.kkt
+    assert observer.metrics.gauges["model.fit.kkt_max"] >= max(
+        e["kkt"] for e in events)
 
 
 def test_percent_errors_sign_convention():

@@ -146,5 +146,18 @@ def test_render_run_full_report(tmp_path, levels):
     assert "slack" in text  # the sparkline line
 
 
+def test_report_prints_the_fit_line_with_the_worst_kkt_residual():
+    from repro.obs.report import summarize_perf
+
+    text = summarize_perf({
+        "counters": {"model.fit.solves": 3, "model.fit.iterations": 40,
+                     "model.fit.capped": 1},
+        "gauges": {"model.fit.kkt_max": 0.0123},
+    })
+    assert text == ("  fit: 3 solve(s), 40 FISTA iteration(s), 1 capped; "
+                    "worst KKT residual 0.0123")
+    assert summarize_perf({"counters": {}}) == ""
+
+
 def test_format_stage_table_empty():
     assert "no spans" in format_stage_table([])

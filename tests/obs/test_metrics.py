@@ -139,6 +139,22 @@ def test_registry_merge_semantics():
     assert back.to_dict() == a.to_dict()
 
 
+def test_running_max_gauge_keeps_the_largest_value_across_merges():
+    a = MetricsRegistry()
+    b = MetricsRegistry()
+    a.raise_gauge("kkt_max", 0.5)
+    a.raise_gauge("kkt_max", 0.25)         # a smaller value is ignored
+    b.raise_gauge("kkt_max", 0.125)
+    assert a.gauges["kkt_max"] == 0.5
+    a.merge(b)                             # ``_max`` gauges keep the max
+    assert a.gauges["kkt_max"] == 0.5
+    b.raise_gauge("kkt_max", 2.0)
+    a.merge(b)
+    assert a.gauges["kkt_max"] == 2.0
+    with pytest.raises(ValueError, match="_max"):
+        a.raise_gauge("kkt", 1.0)
+
+
 def test_registry_counters_gauges_histograms():
     registry = MetricsRegistry()
     registry.inc("jobs")

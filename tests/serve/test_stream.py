@@ -267,3 +267,18 @@ def test_split_by_deadline_argument_validation():
         split_by_deadline(_sized_records([1]),
                           (DeadlineClass("a", 0.1),
                            DeadlineClass("b", 0.2)))
+
+
+def test_vfr_arrival_times_are_pinned():
+    """The rate walk clamps through ``workloads.rng.clip``; the arrival
+    times must stay bit-for-bit what ``float(np.clip(...))`` gave.  The
+    walk hits both clamps (2,000 steps of log-sd 0.25)."""
+    import hashlib
+    import struct
+
+    from repro.serve import vfr_arrivals
+
+    times = vfr_arrivals(30.0, n_jobs=2000, seed=7)
+    packed = struct.pack(f"<{len(times)}d", *times)
+    assert hashlib.sha256(packed).hexdigest() == (
+        "30435fb039bef7763768bdaacba3506c58a8c46fccde6a8f3c743d959605458f")

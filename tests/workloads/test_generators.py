@@ -14,11 +14,47 @@ from repro.workloads import (
     workload_for,
 )
 from repro.workloads.rng import (
+    clip,
     clipped_normal_int,
     log_uniform_int,
     stream,
 )
 from repro.workloads.video import MAX_COEFFS
+
+
+def test_clip_matches_numpy_clip_bit_for_bit():
+    # Seeded draws around each bound, plus the bounds themselves.
+    rng = stream(5, "clip")
+    for low, high in ((0.0, 1.0), (-2.5, 3.75), (np.log(12), np.log(48)),
+                      (5.0, float(MAX_COEFFS - 1))):
+        width = high - low
+        values = [low, high, float(np.nextafter(low, -np.inf)),
+                  float(np.nextafter(high, np.inf))]
+        values += list(rng.uniform(low - width, low, 50))       # below
+        values += list(rng.uniform(low, high, 50))              # inside
+        values += list(rng.uniform(high, high + width, 50))     # above
+        values += [rng.normal(low, 1.0) for _ in range(50)]
+        for value in values:
+            expected = float(np.clip(value, low, high))
+            got = clip(value, low, high)
+            assert type(got) is float
+            assert got == expected
+            assert np.signbit(got) == np.signbit(expected)
+
+
+def test_memoized_workload_is_shared_and_immutable():
+    import dataclasses
+
+    workload = workload_for("sha", scale=0.1)
+    assert workload_for("sha", 0.1) is workload
+    assert isinstance(workload.train, tuple)
+    assert isinstance(workload.test, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        workload.train = ()
+    with pytest.raises(AttributeError):
+        workload.test.append(workload.test[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        workload.test[0].n_bytes = 1
 
 
 def test_stream_is_deterministic_and_label_separated():
