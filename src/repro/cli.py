@@ -19,7 +19,7 @@ Commands:
   (``--golden-dir tests/golden``, regenerate with ``--update-golden``);
 * ``conform --seeds N`` — sweep sampled accelerators from
   :mod:`repro.gen` through the differential conformance battery:
-  three-backend bit-for-bit agreement, offline-flow training, episode
+  interp-vs-stepjit bit-for-bit agreement, offline-flow training, episode
   invariants on ASIC and FPGA, and adversarial served streams;
 * ``serve --benchmark <name> --rate R --duration S`` — run the online
   serving runtime: seeded arrival streams over one or more

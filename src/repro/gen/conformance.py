@@ -7,12 +7,10 @@ checks spanning every layer of the repository:
 1. ``lint`` — :func:`repro.rtl.lint_module` reports no errors;
 2. ``verilog`` — :func:`repro.rtl.to_verilog` emits a non-trivial
    netlist without crashing;
-3. ``backends`` — all three simulation backends (``interp``,
-   ``stepjit``, ``batch``) agree bit-for-bit on cycle
-   count, final architectural state, per-state residency, final FSM
-   states and listener events (ordered events for the scalar backends,
-   aggregate event totals for the lockstep batch kernel), with
-   fast-forward both on and off;
+3. ``backends`` — both simulation backends (``interp`` and
+   ``stepjit``) agree bit-for-bit on cycle count, final architectural
+   state, per-state residency, final FSM states and ordered listener
+   events, with fast-forward both on and off;
 4. ``flow`` — the offline flow trains a predictor on a sampled
    workload and produces a prediction for every test job;
 5. ``episode:asic`` / ``episode:fpga`` — predictive DVFS episodes on
@@ -29,7 +27,6 @@ story for a bad seed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +40,6 @@ from ..experiments.runner import (
 )
 from ..flow import FlowConfig, build_job_records, generate_predictor
 from ..rtl import (
-    BatchScalarSimulation,
     Listener,
     Simulation,
     StepSimulation,
@@ -123,7 +119,7 @@ class ConformanceReport:
 
 
 class _EventRecorder(Listener):
-    """Ordered event capture for the scalar-backend comparison."""
+    """Ordered event capture for the backend comparison."""
 
     def __init__(self) -> None:
         self.transitions: List[Tuple[str, str, str]] = []
@@ -143,52 +139,8 @@ class _EventRecorder(Listener):
         self.resets.append((counter, value))
 
 
-class _BatchEventSink:
-    """Batch-capable listener: keeps the raw per-row event columns."""
-
-    def __init__(self) -> None:
-        self.events = None
-        self.row = None
-
-    def absorb_batch_events(self, events, row) -> None:
-        """Stash the batch event columns and this job's row index."""
-        self.events = events
-        self.row = row
-
-
-def _agg_events(rec: _EventRecorder):
-    # Order-free totals: the only view the batch kernel can express.
-    load_counts: Counter = Counter(n for n, _v in rec.loads)
-    load_sums: Counter = Counter()
-    for name, value in rec.loads:
-        load_sums[name] += value
-    reset_counts: Counter = Counter(n for n, _v in rec.resets)
-    reset_sums: Counter = Counter()
-    for name, value in rec.resets:
-        reset_sums[name] += value
-
-    def _nonzero(counter):
-        return {k: v for k, v in counter.items() if v}
-
-    return (dict(Counter(rec.transitions)), _nonzero(load_counts),
-            _nonzero(load_sums), _nonzero(reset_counts),
-            _nonzero(reset_sums))
-
-
-def _agg_from_batch(events, row):
-    def _nonzero(mapping):
-        return {key: int(col[row])
-                for key, col in mapping.items() if col[row]}
-
-    return (_nonzero(events.transition_counts),
-            _nonzero(events.load_counts),
-            _nonzero(events.load_value_sums),
-            _nonzero(events.reset_counts),
-            _nonzero(events.reset_value_sums))
-
-
-def _run_scalar(module, cls, job, fast_forward: bool,
-                max_cycles: int) -> Dict[str, object]:
+def _run_backend(module, cls, job, fast_forward: bool,
+                 max_cycles: int) -> Dict[str, object]:
     rec = _EventRecorder()
     sim = cls(module, listener=rec, fast_forward=fast_forward)
     sim.load(inputs=job.inputs, memories=job.memories)
@@ -203,63 +155,32 @@ def _run_scalar(module, cls, job, fast_forward: bool,
         "state_cycles": dict(sim.state_cycles),
         "fsm_state": dict(sim._fsm_state),
         "events": (rec.transitions, rec.loads, rec.resets),
-        "events_agg": _agg_events(rec),
-    }
-
-
-def _run_batch(module, job, fast_forward: bool,
-               max_cycles: int) -> Dict[str, object]:
-    sink = _BatchEventSink()
-    sim = BatchScalarSimulation(module, listener=sink,
-                                fast_forward=fast_forward)
-    sim.load(inputs=job.inputs, memories=job.memories)
-    result = sim.run(max_cycles=max_cycles)
-    if not result.finished:
-        raise RuntimeError(
-            f"{module.name}: batch backend did not terminate in "
-            f"{max_cycles} cycles")
-    return {
-        "cycles": result.cycles,
-        "state": dict(sim.state),
-        "state_cycles": dict(sim.state_cycles),
-        "fsm_state": dict(sim._fsm_state),
-        "events_agg": _agg_from_batch(sink.events, sink.row),
     }
 
 
 def check_backend_agreement(design: GeneratedDesign,
                             jobs: Sequence[List[int]],
                             max_cycles: int = 2_000_000) -> None:
-    """Assert all three backends agree bit-for-bit on every job.
+    """Assert both backends agree bit-for-bit on every job.
 
-    Runs each encoded job through ``interp`` (the reference),
-    ``stepjit`` and the ``batch`` scalar adapter with fast-forward on
-    and off, and raises :class:`AssertionError` naming the first
-    divergent (backend, field) pair.  Scalar backends must match on
-    ordered events; the batch kernel on aggregate event totals.
+    Runs each encoded job through ``interp`` (the reference) and
+    ``stepjit`` with fast-forward on and off, and raises
+    :class:`AssertionError` naming the first divergent field.
     """
     module = design.build()
     for j, items in enumerate(jobs):
         job = design.encode_job(items)
         for fast_forward in (True, False):
-            runs = {
-                "interp": _run_scalar(module, Simulation, job,
-                                      fast_forward, max_cycles),
-                "stepjit": _run_scalar(module, StepSimulation, job,
-                                       fast_forward, max_cycles),
-                "batch": _run_batch(module, job, fast_forward,
-                                    max_cycles),
-            }
-            for backend in ("stepjit", "batch"):
-                fields = ("cycles", "state", "state_cycles",
-                          "fsm_state",
-                          "events_agg" if backend == "batch"
-                          else "events")
-                for f in fields:
-                    if runs[backend][f] != runs["interp"][f]:
-                        raise AssertionError(
-                            f"{design.name} job {j} ff={fast_forward}:"
-                            f" {backend} disagrees with interp on {f}")
+            ref = _run_backend(module, Simulation, job, fast_forward,
+                               max_cycles)
+            got = _run_backend(module, StepSimulation, job, fast_forward,
+                               max_cycles)
+            for f in ("cycles", "state", "state_cycles", "fsm_state",
+                      "events"):
+                if got[f] != ref[f]:
+                    raise AssertionError(
+                        f"{design.name} job {j} ff={fast_forward}:"
+                        f" stepjit disagrees with interp on {f}")
 
 
 def build_generated_bundle(design: GeneratedDesign,

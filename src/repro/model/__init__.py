@@ -1,7 +1,7 @@
 """Execution-time prediction model (convex optimization, Sec. 3.4)."""
 
 from .lasso import PathPoint, lasso_path, select_gamma
-from .linear import LinearPredictor, predict_cycles_batch
+from .linear import LinearPredictor
 from .metrics import (
     BoxStats,
     PredictionReport,
@@ -16,6 +16,6 @@ __all__ = [
     "AsymmetricLassoObjective", "BoxStats", "LinearPredictor", "PathPoint",
     "PredictionReport", "SolveResult", "Standardizer", "TrainedModel",
     "TrainingConfig", "fit_predictor", "lasso_path", "make_objective",
-    "percent_errors", "predict_cycles_batch", "select_gamma", "solve",
+    "percent_errors", "select_gamma", "solve",
     "worst_case_error_pct",
 ]

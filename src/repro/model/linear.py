@@ -74,23 +74,3 @@ class LinearPredictor:
         idx = self.selected_indices
         coeffs[idx] = self.coeffs[idx]
         return LinearPredictor(self.feature_names, coeffs, self.intercept)
-
-
-def predict_cycles_batch(predictor: LinearPredictor,
-                         x: np.ndarray) -> np.ndarray:
-    """One batched evaluation of the linear model over a feature matrix.
-
-    Under the ``batch`` simulation backend the serving tier predicts
-    each micro-batch (:meth:`~repro.serve.SlicePredictor.predict_batch`)
-    with a single kernel call instead of one dot product per job.  The
-    kernel is ``np.einsum`` rather than BLAS ``@`` deliberately: einsum
-    reduces each row with the same scalar accumulation regardless of
-    how many rows the matrix has, so a job's prediction does not
-    depend on how many neighbours share its micro-batch.  (BLAS GEMV
-    may change row results with the batch shape.)
-    """
-    matrix = np.asarray(x, dtype=float)
-    if matrix.ndim == 1:
-        matrix = matrix[np.newaxis, :]
-    return (np.einsum("ij,j->i", matrix, predictor.coeffs)
-            + predictor.intercept)

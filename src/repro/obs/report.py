@@ -120,13 +120,6 @@ def summarize_perf(metrics: Dict) -> str:
         if codegen:
             line += (f"; {int(counters.get(f'sim.{backend}.compiles', 0))}"
                      f" kernel(s) in {codegen * 1e3:.0f} ms")
-        if backend == "batch":
-            rows = counters.get("sim.batch.rows", 0)
-            occupancy = gauges.get("sim.batch.occupancy")
-            if rows:
-                line += f"; {int(rows)} row(s)"
-            if occupancy is not None:
-                line += f", {occupancy * 100.0:.0f}% occupancy"
         lines.append(line)
     offered = counters.get("serve.offered", 0)
     if offered:

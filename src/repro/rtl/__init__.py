@@ -13,14 +13,6 @@ from .backend import (
     resolve_backend,
     set_default_backend,
 )
-from .batchsim import (
-    BatchEvents,
-    BatchProgram,
-    BatchRunResult,
-    BatchScalarSimulation,
-    BatchSimulation,
-    compile_batch_stepper,
-)
 from .counter import Counter, down_counter, up_counter
 from .dot import netlist_to_dot
 from .idioms import ItemLoop
@@ -51,8 +43,7 @@ from .verilog import to_verilog
 from .wave import VcdWriter
 
 __all__ = [
-    "BACKENDS", "BatchEvents", "BatchProgram", "BatchRunResult",
-    "BatchScalarSimulation", "BatchSimulation", "BinOp", "Cell",
+    "BACKENDS", "BinOp", "Cell",
     "Const", "Counter",
     "DatapathBlock",
     "ItemLoop", "LintFinding", "VcdWriter", "errors_only", "lint_module",
@@ -61,7 +52,7 @@ __all__ = [
     "Netlist", "Port", "Provenance", "Reg", "RunResult", "Sig",
     "Simulation", "StepProgram", "StepSimulation", "Transition", "UnOp",
     "Update", "Wire", "all_of",
-    "any_of", "compile_batch_stepper", "compile_stepper",
+    "any_of", "compile_stepper",
     "derive_module",
     "down_counter", "make_simulation", "maximum", "minimum",
     "resolve_backend", "set_default_backend", "synthesize", "to_verilog",

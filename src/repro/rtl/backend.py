@@ -1,23 +1,14 @@
-"""Simulation backend selection: interp | stepjit | batch.
+"""Simulation backend selection: interp | stepjit.
 
-All backends are cycle-exact (the differential fuzz suite and the
+Both backends are cycle-exact (the differential fuzz suite and the
 golden gate enforce this), so the choice is purely a speed knob:
 
 * ``interp``   — the tree-walking interpreter (:class:`Simulation` on a
-  raw module).  The reference every other backend is checked against;
+  raw module).  The reference ``stepjit`` is checked against;
   useful for debugging generated code.
 * ``stepjit``  — the whole-module step compiler
   (:class:`StepSimulation`): one generated function per cycle.  The
   default.
-* ``batch``    — the vectorized lockstep kernel
-  (:class:`BatchScalarSimulation` here; :class:`BatchSimulation` for
-  whole-job-list drivers such as ``record_jobs``): N jobs advance as
-  one numpy array program.  Fastest at batch widths ≫ 1; a listener
-  that needs per-cycle callbacks (``wants_cycles``) or lacks
-  ``absorb_batch_events`` silently falls back to ``stepjit``.
-
-``stepjit`` and ``batch`` share one compiler front-end
-(:mod:`repro.rtl.lowering`).
 
 Resolution priority: explicit argument > :func:`set_default_backend` >
 the ``REPRO_BACKEND`` environment variable > ``stepjit``.
@@ -25,7 +16,7 @@ the ``REPRO_BACKEND`` environment variable > ``stepjit``.
 Because outputs are cycle-exact, cache fingerprints (the recorded
 ``FeatureMatrix`` key, bundle keys) deliberately do NOT include the
 backend — a matrix recorded under one backend is a valid warm hit for
-any other.  Tests assert this invariance.
+the other.  Tests assert this invariance.
 """
 
 from __future__ import annotations
@@ -33,12 +24,11 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from .batchsim import BatchScalarSimulation
 from .module import Module
 from .simulator import Simulation
 from .stepjit import StepSimulation
 
-BACKENDS = ("interp", "stepjit", "batch")
+BACKENDS = ("interp", "stepjit")
 DEFAULT_BACKEND = "stepjit"
 BACKEND_ENV = "REPRO_BACKEND"
 
@@ -82,16 +72,6 @@ def make_simulation(module: Module, *, backend: Optional[str] = None,
     ``kwargs`` are forwarded to the :class:`Simulation` constructor
     (``listener``, ``fast_forward``, ``elide``, ``track_state_cycles``).
     """
-    name = resolve_backend(backend)
-    if name == "batch":
-        listener = kwargs.get("listener")
-        if listener is not None and (
-                getattr(listener, "wants_cycles", False)
-                or not hasattr(listener, "absorb_batch_events")):
-            # Event columns cannot express per-cycle callbacks or
-            # arbitrary listener protocols; stepjit is cycle-exact.
-            return StepSimulation(module, **kwargs)
-        return BatchScalarSimulation(module, **kwargs)
-    if name == "stepjit":
+    if resolve_backend(backend) == "stepjit":
         return StepSimulation(module, **kwargs)
     return Simulation(module, **kwargs)

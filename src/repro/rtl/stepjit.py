@@ -17,9 +17,6 @@ specialized Python function:
 * listener callbacks are compiled in only when a listener is attached,
   so the common (unlistened) kernel pays nothing for instrumentation.
 
-The slot layout, line emitter and veto tables come from the front-end
-in :mod:`repro.rtl.lowering`, shared with the lockstep batch kernel.
-
 Programs are cached per module (weakly) and per variant (elide set,
 state-cycle tracking, listener presence, fast-forward), and are
 pickle-safe: ``__reduce__`` pickles the source module plus the variant
@@ -33,6 +30,7 @@ differential fuzz suite and the golden gate (``repro check
 
 from __future__ import annotations
 
+import keyword
 import re
 from time import perf_counter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -40,29 +38,156 @@ from weakref import WeakKeyDictionary
 
 from ..obs import get_observer
 from .expr import _CMPOPS, _PYOPS, BinOp, Const, Expr, MemRead, Mux, Sig, UnOp
-from .lowering import _MEM_PREFIX, _KernelCompiler
+from .fsm import Fsm
 from .module import Module
-from .simulator import RunResult, Simulation, record_sim_run
+from .simulator import RunResult, Simulation, _DepAnalysis, record_sim_run
 
 _SIMPLE_ATOM = re.compile(r"(?:[A-Za-z_]\w*|\d+)\Z")
+_MEM_PREFIX = "__mem__"
+
+#: Identifiers the generated ``_step`` binds itself; no signal local
+#: may take them.
+_RESERVED = frozenset({
+    "S", "MEMS", "DYN", "SC", "cycle", "max_cycles", "listener",
+    "finished", "len", "min", "max", "None", "True", "False",
+    "_j", "_r", "_t", "_d", "_i", "_ffj", "_wc", "_oc",
+    "_lt", "_lcl", "_lcr", "_step",
+})
 
 
-class _StepCompiler(_KernelCompiler):
-    """Emits the specialized ``_step`` function for one module variant."""
+class _Names:
+    """Collision-free Python identifiers for generated locals."""
 
-    RESERVED = frozenset({
-        "S", "MEMS", "DYN", "SC", "cycle", "max_cycles", "listener",
-        "finished", "len", "min", "max", "None", "True", "False",
-        "_j", "_r", "_t", "_d", "_i", "_ffj", "_wc", "_oc",
-        "_lt", "_lcl", "_lcr", "_step",
-    })
-    TAG = "stepjit"
+    def __init__(self) -> None:
+        self._used = set(keyword.kwlist) | _RESERVED
+
+    def make(self, prefix: str, name: str) -> str:
+        """A fresh identifier derived from ``prefix`` + ``name``."""
+        base = prefix + re.sub(r"\W", "_", name)
+        candidate = base
+        serial = 1
+        while candidate in self._used:
+            serial += 1
+            candidate = f"{base}_{serial}"
+        self._used.add(candidate)
+        return candidate
+
+
+class _StepCompiler:
+    """Emits the specialized ``_step`` function for one module variant.
+
+    Holds the slot layout (the scalar signals in :meth:`Simulation.reset`
+    order, the memories and the wires, each bound to a collision-free
+    Python local), the per-counter and pending-register locals of the
+    two-phase commit, the indented-line emitter and the fast-forward
+    veto tables, built from :class:`_DepAnalysis` the way
+    ``Simulation._try_skip`` reads them.
+    """
 
     def __init__(self, module: Module, elide: FrozenSet[Tuple[str, str]],
                  track_state_cycles: bool, has_listener: bool,
                  fast_forward: bool):
-        super().__init__(module, elide, track_state_cycles, fast_forward)
+        if not module.finalized:
+            raise ValueError(
+                f"module {module.name} must be finalized first")
+        self.m = module
+        self.elide = elide
+        self.track = track_state_cycles
         self.has_listener = has_listener
+        self.fast_forward = fast_forward
+        self.deps = _DepAnalysis(module)
+
+        names = _Names()
+        # Scalar slot order mirrors Simulation.reset() (minus memories).
+        self.scalar_names: List[str] = (
+            [p.name for p in module.ports.values()]
+            + [r.name for r in module.regs.values()]
+            + [c.name for c in module.counters.values()]
+            + [f.state_signal for f in module.fsms.values()]
+            + [b.output for b in module.datapath_blocks]
+            + [f.dynbusy_signal for f in module.fsms.values()
+               if f.dynamic_waits]
+        )
+        self.scalar_local = {
+            name: names.make("v_", name) for name in self.scalar_names
+        }
+        self.mem_names = list(module.memories)
+        self.mem_local = {
+            name: names.make("m_", name) for name in self.mem_names
+        }
+        self.wire_local = {
+            name: names.make("w_", name) for name in module.wire_order
+        }
+        self.fsms: List[Fsm] = list(module.fsms.values())
+        self.dyn_fsms = [f for f in self.fsms if f.dynamic_waits]
+        self.down = [c for c in module.counters.values() if c.mode == "down"]
+        self.up = [c for c in module.counters.values() if c.mode == "up"]
+        self.cn = {c.name: names.make("cn_", c.name)
+                   for c in self.down + self.up}
+        self.ch = {c.name: names.make("ch_", c.name)
+                   for c in self.down + self.up}
+        self.zu = {c.name: names.make("zu_", c.name) for c in self.up}
+        written = {u.reg for u in module.updates}
+        for fsm in self.fsms:
+            for t in fsm.transitions:
+                for reg, _value in t.actions:
+                    written.add(reg)
+        self.pending_regs = [r for r in module.regs if r in written]
+        self.p_local = {r: names.make("p_", r) for r in self.pending_regs}
+
+        self._lines: List[str] = []
+        self._indent = 1
+
+    # -- emission helpers ----------------------------------------------
+    def w(self, line: str = "") -> None:
+        """Append one indented source line."""
+        self._lines.append("    " * self._indent + line if line else "")
+
+    def push(self) -> None:
+        """Increase indentation."""
+        self._indent += 1
+
+    def pop(self) -> None:
+        """Decrease indentation."""
+        self._indent -= 1
+
+    def ref(self, name: str) -> str:
+        """The local holding a named signal (or memory)."""
+        local = self.scalar_local.get(name)
+        if local is not None:
+            return local
+        local = self.wire_local.get(name)
+        if local is not None:
+            return local
+        if name.startswith(_MEM_PREFIX):
+            return self.mem_local[name[len(_MEM_PREFIX):]]
+        raise KeyError(
+            f"stepjit: unknown signal {name!r} in {self.m.name}")
+
+    # -- veto tables ----------------------------------------------------
+    def veto_terms(self, pair) -> List[str]:
+        """Locals that, where set, veto a fast-forward jump."""
+        unstable, zerocmp = pair
+        terms = []
+        for name in sorted(unstable):
+            flag = self.ch.get(name)
+            if flag is not None:
+                terms.append(flag)
+        for name in sorted(zerocmp):
+            # Zero-compares are stable except on an up counter leaving 0.
+            flag = self.zu.get(name)
+            if flag is not None:
+                terms.append(flag)
+        return terms
+
+    def arc_veto_terms(self, fsm: Fsm, state: str) -> List[str]:
+        """Veto locals for the arcs out of one state."""
+        terms: List[str] = []
+        for t in fsm.transitions_from(state):
+            for term in self.veto_terms(self.deps.analyze(t.cond)):
+                if term not in terms:
+                    terms.append(term)
+        return terms
 
     # -- expression rendering ------------------------------------------
     def render(self, expr: Expr) -> str:

@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..dvfs.controllers import Controller
 from ..dvfs.energy import EnergyModel
-from ..model.linear import predict_cycles_batch
 from ..obs import get_observer, span
 from ..runtime.episode import charge_job, strict_checks_enabled
 from ..runtime.jobs import JobRecord
@@ -136,7 +135,7 @@ class SlicePredictor:
     def __init__(self, package: "GeneratedPredictor",
                  max_cycles: int = 50_000_000):
         from ..analysis.instrument import FeatureRecorder
-        from ..rtl.backend import make_simulation, resolve_backend
+        from ..rtl.backend import make_simulation
 
         self._package = package
         self._recorder = FeatureRecorder(package.feature_set)
@@ -144,11 +143,6 @@ class SlicePredictor:
                                     listener=self._recorder,
                                     track_state_cycles=False)
         self._max_cycles = max_cycles
-        #: Under the ``batch`` backend a serving micro-batch is
-        #: predicted in one lockstep array step (``predict_batch``);
-        #: other backends keep the per-job path.
-        self.batch_capable = resolve_backend() == "batch"
-        self._batch_sim = None
 
     def predict(self, sjob: StreamJob) -> Tuple[float, int]:
         """Run the hardware slice on the job's input, live."""
@@ -167,48 +161,6 @@ class SlicePredictor:
         predicted = self._package.predictor.predict_one(
             self._recorder.vector())
         return max(predicted, 0.0), result.cycles
-
-    def predict_batch(self, sjobs: Sequence[StreamJob]
-                      ) -> List[Optional[Tuple[float, int]]]:
-        """Predict a whole micro-batch in one lockstep array step.
-
-        One entry per job, aligned with ``sjobs``: ``(predicted,
-        slice_cycles)`` on success, ``None`` where that job cannot be
-        predicted (no encoded input, or its slice run did not finish)
-        — per-job fallback semantics identical to calling
-        :meth:`predict` once per job.  Only meaningful when
-        ``batch_capable`` (the ``batch`` backend is active).
-        """
-        from ..analysis.instrument import _matrix_from_batch
-        from ..rtl.batchsim import BatchSimulation
-
-        if self._batch_sim is None:
-            self._batch_sim = BatchSimulation(
-                self._package.hw_slice.module)
-        out: List[Optional[Tuple[float, int]]] = [None] * len(sjobs)
-        jobs = []
-        rows = []
-        for i, sjob in enumerate(sjobs):
-            if sjob.job_input is None:
-                continue
-            jobs.append(sjob.job_input.as_pair())
-            rows.append(i)
-        if not jobs:
-            return out
-        result = self._batch_sim.run_jobs(
-            jobs, max_cycles=self._max_cycles, ignore_unknown=True)
-        x = _matrix_from_batch(self._package.feature_set,
-                               result.events, len(jobs))
-        # One einsum over the whole feature matrix; the kernel is
-        # row-stable, so every job's prediction is independent of how
-        # many neighbours share its micro-batch.
-        predicted = predict_cycles_batch(self._package.predictor, x)
-        for j, i in enumerate(rows):
-            if not result.finished[j]:
-                continue
-            out[i] = (max(float(predicted[j]), 0.0),
-                      int(result.cycles[j]))
-        return out
 
 
 @dataclass(frozen=True)
@@ -432,42 +384,6 @@ class AcceleratorStream:
             return None, decision_s
         return record, decision_s
 
-    def _predict_all(self, batch: List[StreamJob]
-                     ) -> List[Tuple[Optional[JobRecord], float]]:
-        """The batch's prediction pass, one ``_predict``-shaped entry
-        per job.
-
-        A batch-capable predictor (``SlicePredictor`` under the
-        ``batch`` backend) predicts the whole micro-batch in one
-        lockstep array step; the measured wall time is amortized
-        across the jobs as each entry's ``decision_s`` and judged
-        against the per-job prediction budget.  Any other predictor —
-        and any batch-level failure — degrades to the per-job path,
-        with its per-job fallback semantics.
-        """
-        if (not self.controller.uses_slice or self.predictor is None
-                or not getattr(self.predictor, "batch_capable", False)):
-            return [self._predict(sjob) for sjob in batch]
-        t0 = time.perf_counter()
-        try:
-            results = self.predictor.predict_batch(batch)
-        except (ValueError, RuntimeError):
-            return [self._predict(sjob) for sjob in batch]
-        decision_s = (time.perf_counter() - t0) / max(len(batch), 1)
-        budget = self.config.prediction_budget
-        over_budget = budget is not None and decision_s > budget
-        planned: List[Tuple[Optional[JobRecord], float]] = []
-        for sjob, entry in zip(batch, results):
-            if entry is None or over_budget:
-                planned.append((None, decision_s))
-                continue
-            predicted, slice_cycles = entry
-            planned.append((replace(sjob.record,
-                                    predicted_cycles=predicted,
-                                    slice_cycles=slice_cycles),
-                            decision_s))
-        return planned
-
     def _execute(self, sjob: StreamJob, record: Optional[JobRecord],
                  decision_s: float, batch_size: int) -> StreamOutcome:
         """Advance the virtual clock through one admitted job."""
@@ -542,8 +458,8 @@ class AcceleratorStream:
     def run_batch(self) -> List[StreamOutcome]:
         """Pop and execute one micro-batch from the admission queue.
 
-        Predictions for the whole batch run first (the amortized
-        slice pass), then each job advances the virtual clock in FIFO
+        Predictions for the whole batch run first (one slice run per
+        job), then each job advances the virtual clock in FIFO
         order.  Returns the executed outcomes (empty = queue empty).
         """
         batch: List[StreamJob] = []
@@ -551,7 +467,7 @@ class AcceleratorStream:
             batch.append(self._queue.popleft())
         if not batch:
             return []
-        planned = self._predict_all(batch)
+        planned = [self._predict(sjob) for sjob in batch]
         executed = [
             self._execute(sjob, record, decision_s, len(batch))
             for sjob, (record, decision_s) in zip(batch, planned)

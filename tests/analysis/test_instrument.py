@@ -171,29 +171,18 @@ def _varied_jobs(n):
     (13, 3),   # uneven: 3 does not divide 13
     (13, 5),   # last chunk shorter still
     (2, 4),    # more workers than jobs (empty worker slots)
-    (1, 4),    # degenerate width-1 batch
+    (1, 4),    # a single job
     (0, 3),    # no jobs at all
 ])
-def test_record_jobs_batch_parallel_bit_identical(toy, toy_features,
-                                                  n_jobs, workers):
-    """Satellite gate: batch x parallel recording must be bit-identical
-    to serial interp for every chunking, including uneven and empty
-    chunks and width-1 batches."""
+def test_record_jobs_parallel_bit_identical(toy, toy_features,
+                                            n_jobs, workers):
+    """Parallel recording on the default backend must be bit-identical
+    to serial interp for every split of the jobs over workers,
+    including uneven splits, idle workers and no jobs at all."""
     module, _ = toy
     jobs = _varied_jobs(n_jobs)
     baseline = record_jobs(module, toy_features, jobs,
                            backend="interp", workers=1)
-    matrix = record_jobs(module, toy_features, jobs,
-                         backend="batch", workers=workers)
+    matrix = record_jobs(module, toy_features, jobs, workers=workers)
     assert np.array_equal(matrix.x, baseline.x)
     assert np.array_equal(matrix.cycles, baseline.cycles)
-
-
-def test_record_jobs_batch_timeout_matches_serial_error(toy,
-                                                        toy_features):
-    module, _ = toy
-    jobs = _varied_jobs(2) + [({"n_items": 0}, {"items": []})]
-    with pytest.raises(RuntimeError,
-                       match="job 2 did not finish within 100 cycles"):
-        record_jobs(module, toy_features, jobs, max_cycles=100,
-                    backend="batch")

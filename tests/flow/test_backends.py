@@ -1,7 +1,7 @@
 """Backend threading through the offline flow.
 
-The flow must produce bit-identical artifacts under every simulation
-backend, and the artifact-cache key for the recorded ``FeatureMatrix``
+The flow must produce bit-identical artifacts under both simulation
+backends, and the artifact-cache key for the recorded ``FeatureMatrix``
 must not depend on the backend — a matrix recorded under ``interp``
 is a warm hit for a ``stepjit`` rerun and vice versa.
 """
@@ -45,43 +45,38 @@ def test_flow_outputs_identical_across_backends():
     design = ToyDesign()
     items = toy_workload(25, seed=4)
     packages = {}
-    for backend in ("interp", "stepjit", "batch"):
+    for backend in BACKENDS:
         set_default_backend(backend)
         packages[backend] = generate_predictor(
             design, items, FlowConfig(gamma=1e-4))
     a = packages["interp"]
-    for backend in ("stepjit", "batch"):
-        b = packages[backend]
-        assert np.array_equal(a.train_matrix.cycles,
-                              b.train_matrix.cycles)
-        assert np.array_equal(a.train_matrix.x, b.train_matrix.x)
-        assert a.gamma == b.gamma
-        assert np.array_equal(a.predictor.coeffs, b.predictor.coeffs)
-        assert a.predictor.intercept == b.predictor.intercept
+    b = packages["stepjit"]
+    assert np.array_equal(a.train_matrix.cycles, b.train_matrix.cycles)
+    assert np.array_equal(a.train_matrix.x, b.train_matrix.x)
+    assert a.gamma == b.gamma
+    assert np.array_equal(a.predictor.coeffs, b.predictor.coeffs)
+    assert a.predictor.intercept == b.predictor.intercept
 
 
 def test_job_records_identical_across_backends():
     design = ToyDesign()
     items = toy_workload(25, seed=4)
     per_backend = {}
-    for backend in ("interp", "stepjit", "batch"):
+    for backend in BACKENDS:
         set_default_backend(backend)
         package = generate_predictor(design, items, FlowConfig(gamma=1e-4))
         per_backend[backend] = build_job_records(
             design, package, toy_workload(8, seed=5))
-    for backend in ("stepjit", "batch"):
-        for rec_i, rec_s in zip(per_backend["interp"],
-                                per_backend[backend]):
-            assert rec_i.actual_cycles == rec_s.actual_cycles
-            assert rec_i.slice_cycles == rec_s.slice_cycles
-            assert rec_i.predicted_cycles == pytest.approx(
-                rec_s.predicted_cycles)
-            assert np.array_equal(rec_i.features, rec_s.features)
-            assert rec_i.activity == rec_s.activity
+    for rec_i, rec_s in zip(per_backend["interp"], per_backend["stepjit"]):
+        assert rec_i.actual_cycles == rec_s.actual_cycles
+        assert rec_i.slice_cycles == rec_s.slice_cycles
+        assert rec_i.predicted_cycles == rec_s.predicted_cycles
+        assert np.array_equal(rec_i.features, rec_s.features)
+        assert rec_i.activity == rec_s.activity
 
 
 def test_feature_matrix_cache_key_is_backend_invariant(tmp_path):
-    """A matrix recorded under one backend warm-hits every other."""
+    """A matrix recorded under one backend warm-hits the other."""
     design = ToyDesign()
     items = toy_workload(25, seed=4)
     cache = ArtifactCache(tmp_path / "cache")
@@ -91,10 +86,9 @@ def test_feature_matrix_cache_key_is_backend_invariant(tmp_path):
         generate_predictor(design, items, FlowConfig(gamma=1e-4))
         cold_puts = cache.stats.puts
         assert cold_puts >= 1
-        for backend in ("stepjit", "batch"):
-            set_default_backend(backend)
-            generate_predictor(design, items, FlowConfig(gamma=1e-4))
-            assert cache.stats.hits >= 1
-            assert cache.stats.puts == cold_puts  # nothing re-recorded
+        set_default_backend("stepjit")
+        generate_predictor(design, items, FlowConfig(gamma=1e-4))
+        assert cache.stats.hits >= 1
+        assert cache.stats.puts == cold_puts  # nothing re-recorded
     finally:
         set_cache(None)

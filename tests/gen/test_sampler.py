@@ -2,9 +2,8 @@
 
 Every design :func:`repro.gen.sample_design` emits — across seeds and
 complexity tiers — must be a first-class citizen of the stack: lint
-clean, exportable to Verilog, accepted by the stepjit and batch
-compilers, deterministic in its seed, and terminating on every
-sampled workload.
+clean, exportable to Verilog, accepted by the stepjit compiler,
+deterministic in its seed, and terminating on every sampled workload.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gen import COMPLEXITIES, sample_design, sample_workload
 from repro.rtl import (
-    BatchScalarSimulation,
     Simulation,
-    compile_batch_stepper,
     compile_stepper,
     errors_only,
     lint_module,
@@ -49,10 +46,9 @@ def test_sampled_designs_export_verilog(seed, complexity):
 @settings(max_examples=25, deadline=None)
 @given(seed=seed_strategy, complexity=complexity_strategy)
 def test_sampled_designs_compile_on_every_backend(seed, complexity):
-    """stepjit and batch codegen both accept every sample."""
+    """stepjit codegen accepts every sample (interp compiles nothing)."""
     module = sample_design(seed, complexity).build()
     compile_stepper(module)
-    compile_batch_stepper(module)
 
 
 @settings(max_examples=20, deadline=None)
@@ -75,18 +71,6 @@ def test_sampled_workloads_terminate(seed, complexity, wseed):
         result = sim.run(max_cycles=2_000_000)
         assert result.finished
         assert result.cycles > len(items)
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=seed_strategy, complexity=complexity_strategy)
-def test_batch_scalar_adapter_runs_samples(seed, complexity):
-    design = sample_design(seed, complexity)
-    module = design.build()
-    items = sample_workload(design, 1, seed=5)[0]
-    job = design.encode_job(items)
-    sim = BatchScalarSimulation(module)
-    sim.load(inputs=job.inputs, memories=job.memories)
-    assert sim.run(max_cycles=2_000_000).finished
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,4 +1,4 @@
-"""Differential fuzzing: all simulation backends must agree exactly.
+"""Differential fuzzing: both simulation backends must agree exactly.
 
 Generates small random-but-terminating modules exercising the whole
 semantic surface — multi-FSM designs with wait counters, dynamic
@@ -13,22 +13,16 @@ Termination by construction: every FSM is a forward chain of states
 words, and dynamic-wait durations are bounded expressions — so every
 run finishes in at most a few thousand cycles.
 
-The ``batch`` backend joins on the same modules: the width-1 scalar
-adapter must match interp on cycles, final state, ``state_cycles``
-and *aggregate* events (the lockstep kernel replaces the ordered
-listener callbacks with per-row event totals), and the wide
-``BatchSimulation`` path must match per-row against rows with
-divergent inputs.
+A seeded mutation of the stepjit emitter (its fast-forward veto
+tables emptied) must make the same comparison fail, so the fuzz is
+known to catch a wrong jump.
 """
 
 import random
-from collections import Counter
 
 import pytest
 
 from repro.rtl import (
-    BatchScalarSimulation,
-    BatchSimulation,
     Fsm,
     MemRead,
     Module,
@@ -38,6 +32,7 @@ from repro.rtl import (
     down_counter,
     up_counter,
 )
+from repro.rtl.stepjit import _StepCompiler
 from tests.rtl.test_simulator import Recorder
 
 
@@ -105,47 +100,6 @@ def build_fuzz_module(seed: int) -> Module:
     return m.finalize()
 
 
-def _agg_events(transitions, loads, resets):
-    # Order-free event totals: what the batch backend's event columns
-    # can express.  Zero entries never appear (Counter semantics).
-    load_counts = Counter(name for name, _value in loads)
-    load_sums = Counter()
-    for name, value in loads:
-        load_sums[name] += value
-    reset_counts = Counter(name for name, _value in resets)
-    reset_sums = Counter()
-    for name, value in resets:
-        reset_sums[name] += value
-    def _nonzero(counter):
-        return {key: value for key, value in counter.items() if value}
-    return (dict(Counter(transitions)), _nonzero(load_counts),
-            _nonzero(load_sums), _nonzero(reset_counts),
-            _nonzero(reset_sums))
-
-
-class _BatchEventSink:
-    """Minimal batch-capable listener: keeps the raw event columns."""
-
-    def __init__(self):
-        self.events = None
-        self.row = None
-
-    def absorb_batch_events(self, events, row):
-        self.events = events
-        self.row = row
-
-
-def _events_agg_from_batch(events, row):
-    def _nonzero(mapping):
-        return {key: int(column[row])
-                for key, column in mapping.items() if column[row]}
-    return (_nonzero(events.transition_counts),
-            _nonzero(events.load_counts),
-            _nonzero(events.load_value_sums),
-            _nonzero(events.reset_counts),
-            _nonzero(events.reset_value_sums))
-
-
 def _run_one(module, cls, fast_forward):
     recorder = Recorder()
     sim = cls(module, listener=recorder, fast_forward=fast_forward)
@@ -159,43 +113,20 @@ def _run_one(module, cls, fast_forward):
         "state_cycles": dict(sim.state_cycles),
         "fsm_state": dict(sim._fsm_state),
         "events": (recorder.transitions, recorder.loads, recorder.resets),
-        "events_agg": _agg_events(recorder.transitions, recorder.loads,
-                                  recorder.resets),
-    }
-
-
-def _run_batch_one(module, fast_forward):
-    sink = _BatchEventSink()
-    sim = BatchScalarSimulation(module, listener=sink,
-                                fast_forward=fast_forward)
-    sim.load(inputs={"n": 3},
-             memories={"data": [((7 * i) ^ 5) & 0xFF for i in range(16)]})
-    result = sim.run(max_cycles=100_000)
-    assert result.finished, f"{module.name} did not terminate (batch)"
-    return {
-        "cycles": result.cycles,
-        "state": dict(sim.state),
-        "state_cycles": dict(sim.state_cycles),
-        "fsm_state": dict(sim._fsm_state),
-        "events_agg": _events_agg_from_batch(sink.events, sink.row),
     }
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_backends_agree_on_random_modules(seed):
     module = build_fuzz_module(seed)
-    runs = {}
     for fast_forward in (True, False):
-        runs["interp"] = _run_one(module, Simulation, fast_forward)
-        runs["stepjit"] = _run_one(module, StepSimulation, fast_forward)
-        runs["batch"] = _run_batch_one(module, fast_forward)
-        for backend in ("stepjit", "batch"):
-            fields = ("cycles", "state", "state_cycles", "fsm_state",
-                      "events_agg" if backend == "batch" else "events")
-            for field in fields:
-                assert runs[backend][field] == runs["interp"][field], (
-                    f"seed {seed}, ff={fast_forward}: {backend} "
-                    f"disagrees with interp on {field}")
+        ref = _run_one(module, Simulation, fast_forward)
+        got = _run_one(module, StepSimulation, fast_forward)
+        for field in ("cycles", "state", "state_cycles", "fsm_state",
+                      "events"):
+            assert got[field] == ref[field], (
+                f"seed {seed}, ff={fast_forward}: stepjit "
+                f"disagrees with interp on {field}")
 
 
 @pytest.mark.parametrize("seed", range(0, 25, 5))
@@ -207,34 +138,23 @@ def test_fast_forward_is_exact_per_backend(seed):
         off = _run_one(module, cls, False)
         for field in ("cycles", "state", "state_cycles", "events"):
             assert on[field] == off[field], (seed, cls.__name__, field)
-    on = _run_batch_one(module, True)
-    off = _run_batch_one(module, False)
-    for field in ("cycles", "state", "state_cycles", "events_agg"):
-        assert on[field] == off[field], (seed, "batch", field)
 
 
-@pytest.mark.parametrize("seed", range(0, 25, 3))
-def test_batch_wide_agrees_with_interp(seed):
-    """Rows with divergent inputs: each must match its own interp run."""
-    module = build_fuzz_module(seed)
-    rng = random.Random(1000 + seed)
-    jobs = []
-    for _row in range(17):
-        words = [rng.randrange(256) for _ in range(rng.randrange(1, 17))]
-        jobs.append(({"n": rng.randrange(8)}, {"data": words}))
-    batch = BatchSimulation(module, track_state_cycles=True)
-    result = batch.run_jobs(jobs, max_cycles=100_000)
-    assert result.finished.all()
-    for row, (inputs, memories) in enumerate(jobs):
-        recorder = Recorder()
-        sim = Simulation(module, listener=recorder)
-        sim.load(inputs=inputs, memories=memories)
-        ref = sim.run(max_cycles=100_000)
-        assert ref.finished
-        assert int(result.cycles[row]) == ref.cycles, (seed, row)
-        assert result.state_cycles_for(row) == dict(sim.state_cycles), (
-            seed, row)
-        want = _agg_events(recorder.transitions, recorder.loads,
-                           recorder.resets)
-        got = _events_agg_from_batch(result.events, row)
-        assert got == want, (seed, row)
+def test_fuzz_catches_emitter_without_fast_forward_vetoes(monkeypatch):
+    """Mutation smoke: with every fast-forward veto dropped from the
+    generated kernel, stepjit jumps over cycles the interpreter steps
+    through, and the fuzz comparison must see it on some seed."""
+    monkeypatch.setattr(_StepCompiler, "veto_terms",
+                        lambda self, pair: [])
+    diverged = []
+    for seed in range(25):
+        module = build_fuzz_module(seed)  # fresh module: no cached kernel
+        ref = _run_one(module, Simulation, True)
+        try:
+            got = _run_one(module, StepSimulation, True)
+        except AssertionError:
+            diverged.append(seed)
+            continue
+        if got != ref:
+            diverged.append(seed)
+    assert diverged, "emptied veto tables went unnoticed on every seed"

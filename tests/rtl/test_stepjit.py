@@ -7,7 +7,6 @@ import pytest
 from repro.accelerators import get_design
 from repro.obs import session
 from repro.rtl import (
-    BatchScalarSimulation,
     Module,
     Simulation,
     StepSimulation,
@@ -168,9 +167,9 @@ def test_backend_resolution_precedence(monkeypatch):
     assert resolve_backend() == "stepjit"
     monkeypatch.setenv("REPRO_BACKEND", "interp")
     assert resolve_backend() == "interp"
-    set_default_backend("batch")
+    set_default_backend("stepjit")
     try:
-        assert resolve_backend() == "batch"
+        assert resolve_backend() == "stepjit"
         assert resolve_backend("interp") == "interp"
     finally:
         set_default_backend(None)
@@ -178,10 +177,23 @@ def test_backend_resolution_precedence(monkeypatch):
         resolve_backend("verilator")
 
 
-def test_removed_compiled_backend_is_unknown():
-    with pytest.raises(ValueError, match="expected one of "
-                       "interp, stepjit, batch$"):
-        resolve_backend('compiled')
+@pytest.mark.parametrize("name", ["compiled", "batch"])
+def test_removed_compiled_backend_is_unknown(name):
+    with pytest.raises(ValueError, match=f"unknown simulation backend "
+                       f"'{name}'; expected one of interp, stepjit$"):
+        resolve_backend(name)
+
+
+def test_removed_backend_in_env_is_unknown(monkeypatch):
+    """``REPRO_BACKEND=batch`` fails loudly, not by falling back."""
+    set_default_backend(None)
+    monkeypatch.setenv("REPRO_BACKEND", "batch")
+    with pytest.raises(ValueError, match="unknown simulation backend "
+                       "'batch'; expected one of interp, stepjit$"):
+        resolve_backend()
+    with pytest.raises(ValueError, match="unknown simulation backend "
+                       "'batch'"):
+        make_simulation(build_toy())
 
 
 def test_make_simulation_picks_the_backend():
@@ -190,7 +202,4 @@ def test_make_simulation_picks_the_backend():
     assert isinstance(sim, StepSimulation)
     sim = make_simulation(module, backend="interp")
     assert type(sim) is Simulation
-    assert sim.module is module
-    sim = make_simulation(module, backend="batch")
-    assert isinstance(sim, BatchScalarSimulation)
     assert sim.module is module

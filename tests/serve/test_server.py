@@ -217,48 +217,6 @@ def test_online_slice_matches_offline_prediction(shared_bundle):
     assert violations_of(stream, result) == []
 
 
-def test_batched_slice_prediction_matches_per_job(shared_bundle):
-    """Under the batch backend a serving micro-batch is predicted in
-    one lockstep array step — same predictions, statuses and invariant
-    cleanliness as the per-job stepjit path, with per-job fallback for
-    a job that cannot be predicted (no encoded input)."""
-    from repro.experiments import make_controller, tech_context
-    from repro.rtl import set_default_backend
-
-    bundle = shared_bundle("cjpeg", 0.05)
-    ctx = tech_context(bundle, tech="asic")
-    n = min(6, len(bundle.test_records))
-
-    def run(backend):
-        try:
-            set_default_backend(backend)
-            stream = AcceleratorStream(
-                "cjpeg", make_controller(ctx, "prediction"),
-                ctx.energy_model, ctx.slice_energy_model,
-                predictor=SlicePredictor(bundle.package),
-                config=ServeConfig(deadline=ctx.config.deadline,
-                                   t_switch=ctx.config.t_switch))
-            jobs = build_stream_jobs(bundle, [0.0] * n,
-                                     with_inputs=True)
-            jobs[2] = replace(jobs[2], job_input=None)
-            return serve_stream(stream, jobs), stream
-        finally:
-            set_default_backend(None)
-
-    base, _ = run("stepjit")
-    batched, stream = run("batch")
-    assert stream.predictor.batch_capable
-    assert stream.predictor._batch_sim is not None  # batch path ran
-    assert [o.status for o in batched.outcomes] == \
-        [o.status for o in base.outcomes]
-    assert base.outcomes[2].status == FALLBACK
-    for a, b in zip(base.outcomes, batched.outcomes):
-        assert b.job.predicted_cycles == pytest.approx(
-            a.job.predicted_cycles, rel=1e-12)
-        assert b.job.slice_cycles == a.job.slice_cycles
-    assert violations_of(stream, batched) == []
-
-
 class _CountingSlicePredictor(SlicePredictor):
     """A live slice predictor that counts its ``predict`` calls."""
 
